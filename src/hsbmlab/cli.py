@@ -16,14 +16,13 @@ import argparse
 import json
 import sys
 
-from .convex import SolverOptions, recover_convex
-from .counting import recover_counting
-from .exhaustive import local_search, solve_exhaustive
+from .convex import SolverOptions
 from .generate import sample_adjacency, sample_observed
 from .graphio import read_graph, write_adjacency, write_observed
 from .harness import (
     ALGORITHMS,
     ExperimentSpec,
+    recover,
     run_monte_carlo,
     run_table1,
     write_results,
@@ -36,6 +35,15 @@ from .regimes import classify, csv_header, csv_row
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_NONCONVERGENCE = 3
+# recover's exit code for each harness failure kind; a tie still prints
+# the first maximizer.
+EXIT_CODES = {
+    "none": EXIT_OK,
+    "tie": EXIT_OK,
+    "rounding": EXIT_INFEASIBLE,
+    "counting": EXIT_INFEASIBLE,
+    "nonconvergence": EXIT_NONCONVERGENCE,
+}
 
 
 def _parse_constant(text: str) -> tuple[str, float]:
@@ -84,11 +92,14 @@ def _config_from_args(args) -> ModelConfig:
         if args.n is None:
             raise ConfigError("--example requires --n")
         config = example_config(args.example, args.n, dict(args.constant))
-    if args.gamma is not None:
-        config = ModelConfig.from_arrays(
-            config.n, config.sizes, config.probs, config.q, args.gamma
-        )
-    return config
+    return _with_gamma(config, args.gamma)
+
+
+def _with_gamma(config: ModelConfig, gamma: float | None) -> ModelConfig:
+    """Apply the --gamma override, if given."""
+    if gamma is None:
+        return config
+    return ModelConfig.from_arrays(config.n, config.sizes, config.probs, config.q, gamma)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -129,43 +140,12 @@ def cmd_classify(args) -> int:
 def cmd_recover(args) -> int:
     config = _config_from_args(args)
     graph = read_graph(args.adjacency)
-    if hasattr(graph, "to_adjacency"):
-        adjacency = graph.to_adjacency(unobserved_as=0)
-        work_config = config.collapsed()
-    else:
-        adjacency = graph
-        work_config = config if config.gamma >= 1.0 else config.collapsed()
     solver = SolverOptions(max_iter=args.max_iter, step=args.step,
                            rounding_threshold=args.threshold)
-
-    exit_code = EXIT_OK
-    detail = ""
-    partition = None
-    if args.algorithm == "convex":
-        rec = recover_convex(adjacency, work_config, solver)
-        partition = rec.partition
-        if rec.failure is not None:
-            detail = f"{rec.failure.kind}: {rec.failure.detail}"
-            exit_code = (EXIT_NONCONVERGENCE if rec.failure.kind == "nonconvergence"
-                         else EXIT_INFEASIBLE)
-    elif args.algorithm == "exhaustive":
-        res = solve_exhaustive(adjacency, work_config)
-        partition = res.partition
-        if res.tie_count > 1:
-            detail = f"tie: {res.tie_count} maximizers"
-    elif args.algorithm == "counting":
-        rec = recover_counting(adjacency, work_config)
-        partition = rec.partition
-        if rec.failure is not None:
-            detail = f"{rec.failure.kind}: {rec.failure.detail}"
-            exit_code = EXIT_INFEASIBLE
-    else:
-        res = local_search(adjacency, work_config, seed=args.seed,
-                           restarts=args.restarts)
-        partition = res.partition
-
-    if partition is not None:
-        labels = partition.labels.tolist()
+    rec = recover(args.algorithm, graph, config, solver, seed=args.seed,
+                  restarts=args.restarts)
+    if rec.partition is not None:
+        labels = rec.partition.labels.tolist()
         if args.format == "json":
             payload = json.dumps({"algorithm": args.algorithm, "labels": labels},
                                  indent=2, sort_keys=True)
@@ -173,9 +153,9 @@ def cmd_recover(args) -> int:
             lines = ["node,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
             payload = "\n".join(lines)
         _write_or_print(payload, args.out)
-    if detail:
-        print(detail, file=sys.stderr)
-    return exit_code
+    if rec.detail:
+        print(rec.detail, file=sys.stderr)
+    return EXIT_CODES[rec.failure_kind]
 
 
 def cmd_bench_spectral(args) -> int:
@@ -207,10 +187,7 @@ def _spec_from_file(path: str, args) -> ExperimentSpec:
         config = ModelConfig.from_dict(raw["config"])
     else:
         raise ConfigError("spec file needs a 'config' or 'example' entry")
-    if args.gamma is not None:
-        config = ModelConfig.from_arrays(
-            config.n, config.sizes, config.probs, config.q, args.gamma
-        )
+    config = _with_gamma(config, args.gamma)
     solver = None
     if "solver" in raw:
         solver = SolverOptions(**raw["solver"])

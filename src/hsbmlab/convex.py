@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .generate import Adjacency
-from .model import ModelConfig, Partition
+from .generate import Adjacency, as_matrix
+from .model import ModelConfig, Partition, clique_components
 
 DEFAULT_ROUNDING_THRESHOLD = 0.5
 
@@ -120,11 +119,6 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
-def _as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
-    m = A.matrix if isinstance(A, Adjacency) else np.asarray(A)
-    return m.astype(float)
-
-
 def solve_convex(
     A: Adjacency | np.ndarray,
     nuclear_radius: float,
@@ -140,7 +134,7 @@ def solve_convex(
     with respect to the nuclear constraint.
     """
     opts = options or SolverOptions()
-    a = _as_matrix(A)
+    a = as_matrix(A).astype(float)
     Z = project_box_sum(a, sum_target)
     Z = (Z + Z.T) / 2.0
     W = Z
@@ -188,27 +182,16 @@ def round_solution(
     """Threshold the iterate entrywise (strictly above) and read off
     clusters as connected components, requiring each multi-node component to
     be a clique.  Singleton components become isolated nodes (label 0)."""
-    n = Y.shape[0]
     B = Y > threshold
     np.fill_diagonal(B, False)
-    n_comp, comp = connected_components(B, directed=False)
-    labels = np.zeros(n, dtype=np.int32)
-    next_label = 1
-    for c in range(n_comp):
-        members = np.nonzero(comp == c)[0]
-        if len(members) == 1:
-            continue
-        sub = B[np.ix_(members, members)]
-        np.fill_diagonal(sub, True)
-        if not sub.all():
-            missing = int(len(members) * (len(members) - 1) // 2 - np.triu(sub, 1).sum())
-            return RoundingFailure(
-                "not_clique",
-                f"component of {len(members)} nodes is missing {missing} "
-                f"pairs above threshold {threshold}",
-            )
-        labels[members] = next_label
-        next_label += 1
+    labels, flaw = clique_components(B)
+    if flaw is not None:
+        size, missing = flaw
+        return RoundingFailure(
+            "not_clique",
+            f"component of {size} nodes is missing {missing} "
+            f"pairs above threshold {threshold}",
+        )
     return Partition(labels)
 
 
@@ -240,7 +223,7 @@ def recover_convex(
     """
     opts = options or SolverOptions()
     sum_target = float(sum(s * s for s in config.sizes))
-    objective_matrix = _as_matrix(A) + np.eye(config.n)
+    objective_matrix = as_matrix(A).astype(float) + np.eye(config.n)
     result = solve_convex(objective_matrix, float(config.n), sum_target, opts)
     if not result.converged:
         failure = RoundingFailure(

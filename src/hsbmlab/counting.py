@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .generate import Adjacency
-from .model import ConfigError, ModelConfig, Partition
-
-
-def _as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
-    return A.matrix if isinstance(A, Adjacency) else np.asarray(A)
+from .generate import Adjacency, as_matrix
+from .model import (
+    ConfigError,
+    ModelConfig,
+    Partition,
+    clique_components,
+    cross_pair_peak,
+)
 
 
 def isolated_threshold(config: ModelConfig) -> float:
@@ -32,14 +33,6 @@ def isolated_threshold(config: ModelConfig) -> float:
     sizes = config.sizes.astype(float)
     gap = float(np.min((sizes - 1.0) * (config.probs - config.q)))
     return gap / 2.0 + (config.n - 1.0) * config.q
-
-
-def _degree_excess(config: ModelConfig) -> np.ndarray:
-    """b_k = (n_k - 1) p_k - n_k q = rho_k - p_k, the amount by which a
-    cluster-k member's expected adjacency mass into its own cluster exceeds
-    the ambient level."""
-    sizes = config.sizes.astype(float)
-    return (sizes - 1.0) * config.probs - sizes * config.q
 
 
 def pair_threshold(config: ModelConfig) -> float:
@@ -56,11 +49,7 @@ def pair_threshold(config: ModelConfig) -> float:
     q = config.q
     sizes = config.sizes.astype(float)
     intra_floor = float(np.min((sizes - 2.0) * config.probs**2 - sizes * q**2))
-    if config.r >= 2:
-        b = _degree_excess(config)
-        cross = q * float(np.partition(b, b.size - 2)[-2:].sum())
-    else:
-        cross = 0.0
+    cross = q * cross_pair_peak(config) if config.r >= 2 else 0.0
     return n * q**2 + (intra_floor + cross) / 2.0
 
 
@@ -76,8 +65,7 @@ def pair_threshold_mean_midpoint(config: ModelConfig) -> float:
     intra_mean_floor = float(
         np.min((sizes - 2.0) * config.probs**2 + (n - sizes) * q**2)
     )
-    b = _degree_excess(config)
-    cross_mean_peak = q * float(np.partition(b, b.size - 2)[-2:].sum()) + n * q**2
+    cross_mean_peak = q * cross_pair_peak(config) + n * q**2
     return (intra_mean_floor + cross_mean_peak) / 2.0
 
 
@@ -117,7 +105,7 @@ def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Counting
     """
     # float64 holds 0/1 sums and common-neighbor counts (< 2^53) exactly,
     # and keeps the matrix product on the fast dense path.
-    m = _as_matrix(A).astype(np.float64)
+    m = as_matrix(A).astype(np.float64)
     n = m.shape[0]
     if n != config.n:
         raise ConfigError(f"adjacency has {n} nodes but config has n = {config.n}")
@@ -131,38 +119,26 @@ def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Counting
     link = (common > t_link) & clustered[:, None] & clustered[None, :]
     link &= ~np.eye(n, dtype=bool)
 
-    n_comp, comp = connected_components(link, directed=False)
-    labels = np.zeros(n, dtype=np.int32)
-    found_sizes = []
-    next_label = 1
-    for c in range(n_comp):
-        members = np.flatnonzero(comp == c)
-        if len(members) == 1 and not clustered[members[0]]:
-            continue
-        sub = link[np.ix_(members, members)]
-        np.fill_diagonal(sub, True)
-        if not sub.all():
-            missing = int(len(members) * (len(members) - 1) // 2
-                          - np.triu(sub, 1).sum())
-            return CountingRecovery(
-                None,
-                CountingFailure(
-                    "not_clique",
-                    f"component of {len(members)} nodes is missing {missing} links",
-                ),
-                t_iso,
-                t_link,
-            )
-        labels[members] = next_label
-        found_sizes.append(len(members))
-        next_label += 1
+    labels, flaw = clique_components(link, keep=clustered)
+    if flaw is not None:
+        size, missing = flaw
+        return CountingRecovery(
+            None,
+            CountingFailure(
+                "not_clique",
+                f"component of {size} nodes is missing {missing} links",
+            ),
+            t_iso,
+            t_link,
+        )
+    found_sizes = sorted(np.bincount(labels)[1:].tolist())
     want = sorted(config.sizes.tolist())
-    if sorted(found_sizes) != want:
+    if found_sizes != want:
         return CountingRecovery(
             None,
             CountingFailure(
                 "size_mismatch",
-                f"component sizes {sorted(found_sizes)} != configured {want}",
+                f"component sizes {found_sizes} != configured {want}",
             ),
             t_iso,
             t_link,

@@ -20,14 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import Adjacency
+from .generate import STREAM_ALGORITHM, Adjacency, as_matrix, stream_rng
 from .model import ConfigError, ModelConfig, Partition
 
 MAX_EXHAUSTIVE_N = 14
-
-
-def _as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
-    return A.matrix if isinstance(A, Adjacency) else np.asarray(A)
 
 
 def partition_count(config: ModelConfig) -> int:
@@ -94,7 +90,7 @@ def enumerate_partitions(config: ModelConfig):
 def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
     """Within-cluster edge mass: sum over clusters of the ordered-pair
     adjacency total (twice the number of within-cluster edges)."""
-    m = _as_matrix(A)
+    m = as_matrix(A)
     labels = partition.labels
     total = 0
     for label in np.unique(labels):
@@ -116,7 +112,7 @@ def log_likelihood(A: Adjacency | np.ndarray, partition: Partition,
     """
     if not 0.0 < config.q < 1.0:
         raise ValueError(f"log-likelihood needs q in (0, 1), got {config.q}")
-    m = _as_matrix(A)
+    m = as_matrix(A)
     n = m.shape[0]
     labels = partition.labels
     pair_total = n * (n - 1) // 2
@@ -175,7 +171,7 @@ def solve_exhaustive(
     """Scan all admissible partitions for the maximal within-cluster edge
     mass.  Deterministic: the returned partition is the first maximizer in
     canonical enumeration order."""
-    m = _as_matrix(A)
+    m = as_matrix(A)
     if m.shape[0] != config.n:
         raise ConfigError(
             f"adjacency has {m.shape[0]} nodes but config has n = {config.n}"
@@ -261,11 +257,9 @@ def local_search(
 ) -> LocalSearchResult:
     """Randomly seeded best-improvement swap search; keeps the best local
     optimum over the given number of restarts.  Deterministic under seed."""
-    from .generate import STREAM_ALGORITHM, stream_rng
-
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    m = _as_matrix(A).astype(float)
+    m = as_matrix(A).astype(float)
     n = m.shape[0]
     if n != config.n:
         raise ConfigError(f"adjacency has {n} nodes but config has n = {config.n}")

@@ -100,6 +100,11 @@ class Adjacency:
         return int(self.matrix.sum()) // 2
 
 
+def as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
+    """The matrix of an Adjacency, or the array itself, uncast."""
+    return A.matrix if isinstance(A, Adjacency) else np.asarray(A)
+
+
 UNOBSERVED = -1
 
 

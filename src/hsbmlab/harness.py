@@ -27,8 +27,8 @@ from .exhaustive import (
     objective as partition_objective,
     solve_exhaustive,
 )
-from .generate import sample_adjacency, sample_observed
-from .model import ConfigError, ModelConfig, partitions_equal
+from .generate import ObservedMatrix, sample_adjacency, sample_observed
+from .model import ConfigError, ModelConfig, Partition, partitions_equal
 from .presets import EXAMPLE_IDS, example6_reference_constants, example_config
 from .regimes import classify
 
@@ -64,6 +64,58 @@ class ExperimentSpec:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class Recovery:
+    """One algorithm's outcome on one graph: the partition it output (None
+    when it could not produce one), a failure_kind from FAILURE_KINDS, a
+    one-line detail for any failure kind but "none", and the objective
+    (NaN for a counting failure)."""
+
+    partition: Partition | None
+    failure_kind: str
+    detail: str
+    objective: float
+
+
+def recover(algorithm: str, graph, config: ModelConfig,
+            solver_options: SolverOptions | None = None,
+            seed: int = 0, restarts: int = 10) -> Recovery:
+    """Run one algorithm on an Adjacency or ObservedMatrix.
+
+    Partial observation: an ObservedMatrix is collapsed with unobserved
+    pairs mapped to 0, and a configuration with gamma < 1 is replaced by its
+    gamma-collapsed form.  seed and restarts apply to local search only.
+    """
+    if isinstance(graph, ObservedMatrix):
+        graph = graph.to_adjacency(unobserved_as=0)
+    if config.gamma < 1.0:
+        config = config.collapsed()
+    if algorithm == "convex":
+        rec = recover_convex(graph, config, solver_options)
+        if rec.failure is None:
+            return Recovery(rec.partition, "none", "", rec.solver.objective)
+        kind = "nonconvergence" if rec.failure.kind == "nonconvergence" else "rounding"
+        return Recovery(None, kind, f"{rec.failure.kind}: {rec.failure.detail}",
+                        rec.solver.objective)
+    if algorithm == "exhaustive":
+        res = solve_exhaustive(graph, config)
+        if res.tie_count > 1:
+            return Recovery(res.partition, "tie", f"tie: {res.tie_count} maximizers",
+                            float(res.objective))
+        return Recovery(res.partition, "none", "", float(res.objective))
+    if algorithm == "counting":
+        rec = recover_counting(graph, config)
+        if rec.failure is not None:
+            return Recovery(None, "counting", f"{rec.failure.kind}: {rec.failure.detail}",
+                            math.nan)
+        return Recovery(rec.partition, "none", "",
+                        float(partition_objective(graph, rec.partition)))
+    if algorithm == "local-search":
+        res = local_search(graph, config, seed=seed, restarts=restarts)
+        return Recovery(res.partition, "none", "", float(res.objective))
+    raise ConfigError(f"unknown algorithm {algorithm!r}")
+
+
 @dataclass(frozen=True)
 class ResultRow:
     """One (algorithm, trial) outcome.  success means the output partition
@@ -81,59 +133,27 @@ class ResultRow:
 
 
 def run_trial(spec: ExperimentSpec, algorithm: str, trial: int) -> ResultRow:
-    """Run one algorithm on one seeded draw.  With gamma < 1 the graph is
-    partially observed, unobserved pairs are mapped to 0 and the algorithm
-    receives the gamma-collapsed configuration."""
+    """Run one algorithm on one seeded draw, timing only the recovery.
+    With gamma < 1 the graph is partially observed (see recover)."""
     config = spec.config
     seed = spec.base_seed + trial
     planted = config.planted_partition()
     if config.gamma < 1.0:
-        observed = sample_observed(config, planted, seed)
-        adjacency = observed.to_adjacency(unobserved_as=0)
-        work_config = config.collapsed()
+        graph = sample_observed(config, planted, seed).to_adjacency(unobserved_as=0)
     else:
-        adjacency = sample_adjacency(config, planted, seed)
-        work_config = config
+        graph = sample_adjacency(config, planted, seed)
 
     start = time.perf_counter()
-    failure_kind = "none"
-    obj = math.nan
-    if algorithm == "convex":
-        rec = recover_convex(adjacency, work_config, spec.solver_options)
-        success = rec.succeeded and partitions_equal(rec.partition, planted)
-        if rec.failure is not None:
-            failure_kind = ("nonconvergence" if rec.failure.kind == "nonconvergence"
-                            else "rounding")
-        obj = rec.solver.objective
-    elif algorithm == "exhaustive":
-        res = solve_exhaustive(adjacency, work_config)
-        unique = res.tie_count == 1
-        success = unique and partitions_equal(res.partition, planted)
-        if not unique:
-            failure_kind = "tie"
-        obj = float(res.objective)
-    elif algorithm == "counting":
-        rec = recover_counting(adjacency, work_config)
-        success = rec.succeeded and partitions_equal(rec.partition, planted)
-        if rec.failure is not None:
-            failure_kind = "counting"
-        else:
-            obj = float(partition_objective(adjacency, rec.partition))
-    elif algorithm == "local-search":
-        res = local_search(adjacency, work_config, seed=seed, restarts=spec.restarts)
-        success = partitions_equal(res.partition, planted)
-        obj = float(res.objective)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    rec = recover(algorithm, graph, config, spec.solver_options, seed, spec.restarts)
     wall = time.perf_counter() - start
     return ResultRow(
         config_id=spec.config_id,
         algorithm=algorithm,
         trial=trial,
         seed=seed,
-        success=bool(success),
-        failure_kind=failure_kind,
-        objective=float(obj),
+        success=rec.failure_kind == "none" and partitions_equal(rec.partition, planted),
+        failure_kind=rec.failure_kind,
+        objective=rec.objective,
         wall_time=wall,
     )
 
@@ -282,37 +302,28 @@ def rows_to_dicts(rows, include_timings: bool = False) -> list[dict]:
     return out
 
 
-def write_dicts_csv(dicts: list[dict], path, columns: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for d in dicts:
-            writer.writerow([_cell(d.get(col, "")) for col in columns])
-
-
-def write_dicts_json(dicts: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dicts, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_dicts(dicts: list[dict], path, fmt: str, columns: list[str]) -> None:
+    """Write dicts as csv (the given columns, in order) or as json."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for d in dicts:
+                writer.writerow([_cell(d.get(col, "")) for col in columns])
+    elif fmt == "json":
+        with open(path, "w") as fh:
+            json.dump(dicts, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def write_results(rows, path, fmt: str = "csv", include_timings: bool = False) -> None:
     """Persist Monte Carlo rows; timings are opt-in so that files are
     byte-identical across reruns."""
-    dicts = rows_to_dicts(rows, include_timings)
     columns = RESULT_COLUMNS + (["wall_time"] if include_timings else [])
-    if fmt == "csv":
-        write_dicts_csv(dicts, path, columns)
-    elif fmt == "json":
-        write_dicts_json(dicts, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    write_dicts(rows_to_dicts(rows, include_timings), path, fmt, columns)
 
 
 def write_table1(rows: list[dict], path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        write_dicts_csv(rows, path, TABLE_COLUMNS)
-    elif fmt == "json":
-        write_dicts_json(rows, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    write_dicts(rows, path, fmt, TABLE_COLUMNS)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 
 class ConfigError(ValueError):
@@ -48,10 +49,10 @@ class ModelConfig:
 
     Cluster data is held as parallel read-only arrays (``sizes``, ``probs``)
     so that configurations with very many clusters stay cheap to build and
-    analyze; the ``clusters`` tuple view is materialized lazily.
+    analyze.
     """
 
-    __slots__ = ("n", "q", "gamma", "_sizes", "_probs", "_clusters")
+    __slots__ = ("n", "q", "gamma", "_sizes", "_probs")
 
     def __init__(
         self,
@@ -104,7 +105,6 @@ class ModelConfig:
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_clusters", None)
         self._validate()
 
     def __setattr__(self, name: str, value) -> None:
@@ -133,17 +133,6 @@ class ModelConfig:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
 
     # -- convenience views -------------------------------------------------
-
-    @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        if self._clusters is None:
-            object.__setattr__(
-                self,
-                "_clusters",
-                tuple(Cluster(int(s), float(p))
-                      for s, p in zip(self._sizes.tolist(), self._probs.tolist())),
-            )
-        return self._clusters
 
     @property
     def r(self) -> int:
@@ -276,6 +265,33 @@ class Partition:
         return f"Partition({self.labels.tolist()})"
 
 
+def clique_components(link: np.ndarray, keep: np.ndarray | None = None):
+    """Read clusters off a symmetric boolean link matrix as its connected
+    components, each of which must be a clique.
+
+    Components are labelled 1, 2, ... in component order; a singleton
+    component becomes an isolated node (label 0) unless ``keep`` marks it.
+    Returns ``(labels, None)``, or ``(None, (size, missing))`` for the first
+    component that is not a clique: its node count and its unlinked pairs.
+    """
+    n_comp, comp = connected_components(link, directed=False)
+    labels = np.zeros(link.shape[0], dtype=np.int32)
+    next_label = 1
+    for c in range(n_comp):
+        members = np.flatnonzero(comp == c)
+        if len(members) == 1 and (keep is None or not keep[members[0]]):
+            continue
+        sub = link[np.ix_(members, members)]
+        np.fill_diagonal(sub, True)
+        if not sub.all():
+            missing = int(len(members) * (len(members) - 1) // 2
+                          - np.triu(sub, 1).sum())
+            return None, (len(members), missing)
+        labels[members] = next_label
+        next_label += 1
+    return labels, None
+
+
 @dataclass(frozen=True)
 class DerivedStats:
     """Per-cluster signal and noise scales.
@@ -312,6 +328,16 @@ def derived_stats(config: ModelConfig) -> DerivedStats:
         n_min=int(config.sizes.min()),
         n_max=int(config.sizes.max()),
     )
+
+
+def cross_pair_peak(config: ModelConfig) -> float:
+    """max over cluster pairs k != l of b_k + b_l (requires r >= 2), with
+    b_k = (n_k - 1) p_k - n_k q = rho_k - p_k, the amount by which a
+    cluster-k member's expected adjacency mass into its own cluster exceeds
+    the ambient level."""
+    sizes = config.sizes.astype(float)
+    b = (sizes - 1.0) * config.probs - sizes * config.q
+    return float(np.partition(b, b.size - 2)[-2:].sum())
 
 
 def chi_square_div(p, q):

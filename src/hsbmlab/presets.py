@@ -19,9 +19,17 @@ templates that probe different corners of the recoverability landscape:
 6. All probabilities of constant order with p_min - q shrinking — fully
    schematic; every quantity must be supplied explicitly.
 
-Every O(.) coefficient is an overridable named constant.  Unspecified
-constants default to 1.0, except probability-valued O(1) levels which
-default to 0.95 so that variances stay nonzero.  Fractional sizes are
+The overridable named constants are the probability and ambient-rate
+levels (p1, c, c2, c_q), the exponents of families 2 and 4 (eps, alpha,
+beta) and the cluster counts m of families 3 and 5; family 6 takes every
+quantity as a constant.  The other size and count coefficients are fixed
+at 1: family 1 takes no constants at all; family 2's n^(1/6) count and
+sqrt(n) size, family 3's ceil(sqrt(log n)) tiny-cluster size and sqrt(n)
+medium-cluster count, family 4's n/2 giant size and n^(1-eps) small-cluster
+count, and family 5's log n small-cluster size and sqrt(n log n)
+large-cluster size have none.  Unspecified coefficient levels default to
+1.0, except probability-valued O(1) levels which default to 0.95 so that
+variances stay nonzero.  Fractional sizes are
 resolved by spreading the remainder over equal-size groups (sizes differ by
 at most one), keeping the total exactly n.
 """

@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DerivedStats, ModelConfig, chi_square_div, derived_stats
+from .model import (
+    DerivedStats,
+    ModelConfig,
+    chi_square_div,
+    cross_pair_peak,
+    derived_stats,
+)
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0, 2.0)
 DEFAULT_O1_THRESHOLD = 0.1
@@ -149,6 +155,19 @@ def _binding_from(core: list[ConditionReport], tail_scores: list[float] | None =
     return float(min(scores)) if scores else math.nan
 
 
+def _cluster_signal(config: ModelConfig, st: DerivedStats, log_factor,
+                    C: float) -> ConditionReport:
+    """rho_k^2 >= C sigma_k^2 log_factor_k for all k, reported at the
+    binding (lowest-score) cluster."""
+    rhs = st.sigma_sq * log_factor
+    scores = np.where(rhs > 0, st.rho**2 / np.where(rhs > 0, C * rhs, 1.0), math.inf)
+    k = int(np.argmin(scores))
+    return ConditionReport.ge(
+        "cluster_signal", float(st.rho[k] ** 2), float(rhs[k]), C,
+        note=f"binding cluster {k + 1} of {config.r}",
+    )
+
+
 def check_easy_clusterwise(
     config: ModelConfig,
     C: float = 1.0,
@@ -164,14 +183,7 @@ def check_easy_clusterwise(
     """
     st = derived_stats(config)
     sizes = np.array(config.sizes, dtype=float)
-    log_sizes = np.log(sizes)
-    rhs_i = st.sigma_sq * log_sizes
-    scores_i = np.where(rhs_i > 0, st.rho**2 / np.where(rhs_i > 0, C * rhs_i, 1.0), math.inf)
-    k = int(np.argmin(scores_i))
-    rep_i = ConditionReport.ge(
-        "cluster_signal", float(st.rho[k] ** 2), float(rhs_i[k]), C,
-        note=f"binding cluster {k + 1} of {config.r}",
-    )
+    rep_i = _cluster_signal(config, st, np.log(sizes), C)
     rep_ii = ConditionReport.ge(
         "separation", chi_square_div(st.p_min, config.q),
         math.log(st.n_min) / st.n_min, C,
@@ -201,13 +213,7 @@ def check_easy_global(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
     condition; suited to comparable cluster sizes)."""
     st = derived_stats(config)
     log_n = math.log(config.n)
-    rhs_i = st.sigma_sq * log_n
-    scores_i = np.where(rhs_i > 0, st.rho**2 / np.where(rhs_i > 0, C * rhs_i, 1.0), math.inf)
-    k = int(np.argmin(scores_i))
-    rep_i = ConditionReport.ge(
-        "cluster_signal", float(st.rho[k] ** 2), float(rhs_i[k]), C,
-        note=f"binding cluster {k + 1} of {config.r}",
-    )
+    rep_i = _cluster_signal(config, st, log_n, C)
     rep_ii = ConditionReport.ge(
         "separation", chi_square_div(st.p_min, config.q), log_n / st.n_min, C,
     )
@@ -311,14 +317,6 @@ def check_impossible(config: ModelConfig) -> RegimeCheck:
     )
 
 
-def _cross_pair_peak(config: ModelConfig) -> float:
-    """max over cluster pairs k != l of b_k + b_l with
-    b_k = (n_k - 1) p_k - n_k q (requires r >= 2)."""
-    b = (config.sizes - 1.0) * config.probs - config.sizes * config.q
-    top_two = np.partition(b, b.size - 2)[-2:]
-    return float(top_two.sum())
-
-
 def check_simple(config: ModelConfig) -> RegimeCheck:
     """Counting-recovery conditions (explicit constants).
 
@@ -340,7 +338,7 @@ def check_simple(config: ModelConfig) -> RegimeCheck:
 
     if config.r >= 2:
         intra_floor = float(np.min((sizes - 2.0) * probs**2 + (n - sizes) * q**2))
-        cross_peak = q * (_cross_pair_peak(config) + n * q)
+        cross_peak = q * (cross_pair_peak(config) + n * q)
         bracket = intra_floor - cross_peak
         rhs_pair = 26.0 * (1.0 - q**2) * (float(np.max(sizes * probs**2)) + n * q**2) * log_n
         if bracket >= 0.0:

@@ -6,10 +6,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hsbmlab import (
     ALGORITHMS,
+    Adjacency,
     ConfigError,
     ExperimentSpec,
     ModelConfig,
@@ -26,10 +28,12 @@ from hsbmlab import (
     sample_adjacency,
     sample_observed,
     wilson_interval,
+    write_adjacency,
     write_results,
     write_table1,
 )
-from hsbmlab.harness import FAILURE_KINDS, RESULT_COLUMNS, TABLE_COLUMNS
+from hsbmlab import cli, harness
+from hsbmlab.harness import FAILURE_KINDS, RESULT_COLUMNS, TABLE_COLUMNS, recover
 
 SMALL = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
 
@@ -172,6 +176,77 @@ class TestRunTrial:
         assert row_key(run_trial(spec, "convex", 0)) == row_key(
             run_trial(spec, "convex", 0)
         )
+
+
+def write_inputs(tmp_path, config, seed):
+    """Config file and fully observed graph file of one draw, for the CLI."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    graph_path = tmp_path / "graph.txt"
+    write_adjacency(graph_path,
+                    sample_adjacency(config, config.planted_partition(), seed))
+    return str(config_path), str(graph_path)
+
+
+class TestRecover:
+    # kind -> (config, seed, algorithm, solver options, CLI flags, detail
+    # prefix, CLI exit code).
+    CASES = {
+        "none": (SMALL, 0, "convex", None, [], "", 0),
+        "rounding": (SMALL, 34, "convex", None, [], "not_clique: ", 2),
+        "nonconvergence": (SMALL, 0, "convex", SolverOptions(max_iter=1),
+                           ["--max-iter", "1"], "nonconvergence: ", 3),
+        "counting": (SMALL, 2, "counting", None, [], "not_clique: ", 2),
+        "tie": (TIE, 0, "exhaustive", None, [], "tie: ", 0),
+    }
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_failure_kind_detail_and_exit_code(self, kind, tmp_path, capsys):
+        config, seed, algorithm, options, flags, prefix, code = self.CASES[kind]
+        graph = sample_adjacency(config, config.planted_partition(), seed)
+        rec = recover(algorithm, graph, config, options)
+        assert rec.failure_kind == kind
+        assert rec.detail.startswith(prefix)
+        assert (rec.detail == "") == (kind == "none")
+        assert (rec.partition is None) == (kind in ("rounding", "nonconvergence",
+                                                    "counting"))
+        assert math.isnan(rec.objective) == (kind == "counting")
+
+        config_path, graph_path = write_inputs(tmp_path, config, seed)
+        assert cli.main(["recover", "--config", config_path, "--adjacency",
+                         graph_path, "--algorithm", algorithm] + flags) == code
+        captured = capsys.readouterr()
+        assert captured.err == (rec.detail + "\n" if rec.detail else "")
+        assert captured.out.startswith("node,label") == (rec.partition is not None)
+
+    def test_unknown_algorithm(self):
+        graph = sample_adjacency(SMALL, SMALL.planted_partition(), 0)
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            recover("oracle", graph, SMALL)
+
+    def test_convex_solver_reached_through_harness_global(self, monkeypatch,
+                                                          tmp_path, capsys):
+        # The benchmark taps every convex solve by replacing
+        # harness.recover_convex; both the harness and the CLI must look
+        # the solver up there and hand it an Adjacency.
+        seen = []
+        original = harness.recover_convex
+
+        def spy(adjacency, config, options=None):
+            seen.append(adjacency)
+            return original(adjacency, config, options)
+
+        monkeypatch.setattr(harness, "recover_convex", spy)
+        expected = sample_adjacency(SMALL, SMALL.planted_partition(), 0).matrix
+        run_trial(ExperimentSpec(SMALL, ("convex",), trials=1), "convex", 0)
+        config_path, graph_path = write_inputs(tmp_path, SMALL, 0)
+        assert cli.main(["recover", "--config", config_path, "--adjacency",
+                         graph_path, "--algorithm", "convex"]) == 0
+        capsys.readouterr()
+        assert len(seen) == 2
+        for adjacency in seen:
+            assert isinstance(adjacency, Adjacency)
+            assert np.array_equal(adjacency.matrix, expected)
 
 
 class TestWilsonInterval:

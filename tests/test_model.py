@@ -18,6 +18,7 @@ from hsbmlab import (
     kl_div,
     partitions_equal,
 )
+from hsbmlab.model import clique_components
 
 REL = 1e-12
 
@@ -325,3 +326,33 @@ class TestPartitionsEqual:
         assert partitions_equal(parts[0], parts[1])
         assert partitions_equal(parts[1], parts[2])
         assert partitions_equal(parts[0], parts[2])
+
+
+class TestCliqueComponents:
+    @staticmethod
+    def link(n, pairs):
+        m = np.zeros((n, n), dtype=bool)
+        for i, j in pairs:
+            m[i, j] = m[j, i] = True
+        return m
+
+    def test_singletons_dropped_unless_kept(self):
+        # Triangle 0-1-2, singletons 3 and 4.
+        link = self.link(5, [(0, 1), (1, 2), (0, 2)])
+        labels, flaw = clique_components(link)
+        assert flaw is None
+        assert labels.tolist() == [1, 1, 1, 0, 0]
+        keep = np.array([True, True, True, True, False])
+        labels, flaw = clique_components(link, keep=keep)
+        assert flaw is None
+        assert labels.tolist() == [1, 1, 1, 2, 0]
+
+    def test_first_non_clique_component_reported(self):
+        # Path 0-1-2 (one missing pair), then path 3-4-5-6 (three missing).
+        link = self.link(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+        labels, flaw = clique_components(link)
+        assert labels is None
+        assert flaw == (3, 1)
+        labels, flaw = clique_components(link[3:, 3:])
+        assert labels is None
+        assert flaw == (4, 3)
