@@ -137,11 +137,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _solver_options(fields) -> SolverOptions:
+    """SolverOptions from a mapping of user input; a non-mapping, an unknown
+    field or an out-of-range value is a ConfigError."""
+    try:
+        return SolverOptions(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver options: {exc}") from exc
+
+
 def cmd_recover(args) -> int:
     config = _config_from_args(args)
     graph = read_graph(args.adjacency)
-    solver = SolverOptions(max_iter=args.max_iter, step=args.step,
-                           rounding_threshold=args.threshold)
+    solver = _solver_options({"max_iter": args.max_iter, "step": args.step,
+                              "rounding_threshold": args.threshold})
     rec = recover(args.algorithm, graph, config, solver, seed=args.seed,
                   restarts=args.restarts)
     if rec.partition is not None:
@@ -190,7 +199,7 @@ def _spec_from_file(path: str, args) -> ExperimentSpec:
     config = _with_gamma(config, args.gamma)
     solver = None
     if "solver" in raw:
-        solver = SolverOptions(**raw["solver"])
+        solver = _solver_options(raw["solver"])
     return ExperimentSpec(
         config=config,
         algorithms=tuple(raw.get("algorithms", ["convex"])),

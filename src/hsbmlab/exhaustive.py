@@ -9,7 +9,19 @@ local search scales further but only guarantees a local optimum.
 Clusters of equal size are interchangeable for the edge-mass objective, so
 enumeration emits one canonical representative per unordered choice: among
 equal-size clusters, labels are assigned in increasing order of each
-cluster's smallest member.
+cluster's smallest member.  Canonical order is lexicographic in the first
+cluster's member set, then in the second's, and so on.
+
+Partitions are produced in batches: the leading clusters are placed one
+placement at a time, and every canonical placement of the trailing
+clusters (at least the last one) on the nodes left over forms one index
+array, in canonical order.  The scan scores a whole batch with one gather
+per trailing cluster, and the local search scores every candidate swap of
+a step in one array expression.  On a 0/1 (or any integer-valued)
+adjacency that arithmetic is exact, so the winners are those of a
+one-partition-at-a-time, one-pair-at-a-time scan: the first maximum in
+canonical order, and the first maximal swap in row-major order, taken only
+when it improves the mass by more than 1e-12.
 """
 
 from __future__ import annotations
@@ -24,16 +36,25 @@ from .generate import STREAM_ALGORITHM, Adjacency, as_matrix, stream_rng
 from .model import ConfigError, ModelConfig, Partition
 
 MAX_EXHAUSTIVE_N = 14
+# The scan scores the placements of its trailing clusters as one batch:
+# as many trailing clusters as have at most this many placements, and
+# always the last cluster (at most C(14, 7) = 3432 choices).
+_BATCH_ROWS = 4096
 
 
 def partition_count(config: ModelConfig) -> int:
     """Number of distinct ways to place the prescribed clusters in [n]:
     n! / ((n - n_bar)! * prod_k n_k!) divided by prod over repeated sizes
     (equal-size clusters are unordered)."""
-    total = math.factorial(config.n)
-    total //= math.factorial(config.n0)
+    return _placement_count(config.n, config.sizes.tolist())
+
+
+def _placement_count(n: int, sizes: list[int]) -> int:
+    """partition_count for clusters of the given sizes on n nodes."""
+    total = math.factorial(n)
+    total //= math.factorial(n - sum(sizes))
     mult: dict[int, int] = {}
-    for s in config.sizes.tolist():
+    for s in sizes:
         total //= math.factorial(s)
         mult[s] = mult.get(s, 0) + 1
     for count in mult.values():
@@ -53,12 +74,38 @@ def _log10_partition_count(config: ModelConfig) -> float:
     return total / math.log(10.0)
 
 
-def enumerate_partitions(config: ModelConfig):
-    """Yield every admissible partition exactly once, canonically ordered.
+def _placements(nodes: tuple[int, ...], sizes: list[int], prev_size: int = -1,
+                prev_min: int = -1):
+    """Yield every canonical placement of clusters of the given sizes on the
+    sorted nodes, as a tuple of member tuples, in canonical order: the first
+    cluster's member sets in lexicographic order, and for each the
+    placements of the rest.  prev_size and prev_min describe a cluster
+    placed before these, whose equal-size successor must start later."""
+    if not sizes:
+        yield ()
+        return
+    size = sizes[0]
+    for members in itertools.combinations(nodes, size):
+        if size == prev_size and members[0] <= prev_min:
+            continue
+        rest = tuple(x for x in nodes if x not in members)
+        for others in _placements(rest, sizes[1:], size, members[0]):
+            yield (members,) + others
 
-    Guarded to n <= MAX_EXHAUSTIVE_N.  Labels follow the configuration's
-    cluster order; among equal-size clusters the smallest members increase
-    with the label, which deduplicates exchangeable assignments.
+
+def _canonical_batches(config: ModelConfig):
+    """Yield (labels, head, tail) batches that together hold every
+    canonical partition once, in canonical order.
+
+    The clusters split into a head, placed one placement at a time, and a
+    tail of trailing clusters (at least the last one), all of whose
+    placements on the nodes the head leaves over are one batch.  The tail is
+    the longest whose placements number at most _BATCH_ROWS.  head is a
+    tuple of member tuples; labels marks them with labels 1..len(head), 0
+    elsewhere, and is reused between yields.  tail is an int array with one
+    row per canonical placement of the tail clusters, in canonical order,
+    each row the members of cluster len(head) + 1, then of the next, and so
+    on; it may have no rows.
     """
     n = config.n
     if n > MAX_EXHAUSTIVE_N:
@@ -68,23 +115,52 @@ def enumerate_partitions(config: ModelConfig):
             f"admissible partitions)"
         )
     sizes = config.sizes.tolist()
+    k = len(sizes) - 1
+    while (k > 0 and _placement_count(n - sum(sizes[:k - 1]), sizes[k - 1:])
+           <= _BATCH_ROWS):
+        k -= 1
+    # The tail's placements as positions into the nodes left over; they map
+    # onto the nodes in increasing order, so canonical order carries over.
+    left = tuple(range(n - sum(sizes[:k])))
+    table = np.array([sum(p, ()) for p in _placements(left, sizes[k:])],
+                     dtype=np.intp).reshape(-1, sum(sizes[k:]))
     labels = np.zeros(n, dtype=np.int32)
+    for head in _placements(tuple(range(n)), sizes[:k]):
+        for label, members in enumerate(head, start=1):
+            labels[list(members)] = label
+        tail = np.flatnonzero(labels == 0)[table]
+        if k and sizes[k] == sizes[k - 1]:
+            tail = tail[tail[:, 0] > head[-1][0]]
+        yield labels, head, tail
+        labels[:] = 0
 
-    def place(remaining: tuple[int, ...], k: int, prev_size: int, prev_min: int):
-        if k == len(sizes):
-            yield labels.copy()
-            return
-        size = sizes[k]
-        for members in itertools.combinations(remaining, size):
-            if size == prev_size and members[0] <= prev_min:
-                continue
-            labels[list(members)] = k + 1
-            rest = tuple(x for x in remaining if x not in members)
-            yield from place(rest, k + 1, size, members[0])
-            labels[list(members)] = 0
 
-    for lab in place(tuple(range(n)), 0, -1, -1):
-        yield Partition(lab)
+def _tail_labels(config: ModelConfig, heads: int) -> np.ndarray:
+    """Label of each column of a tail row after a head of that many clusters."""
+    return np.repeat(np.arange(heads + 1, config.r + 1, dtype=np.int32),
+                     config.sizes[heads:])
+
+
+def _complete(labels: np.ndarray, tail_labels: np.ndarray, row: np.ndarray) -> Partition:
+    """The partition that adds one tail placement to the head's labels."""
+    labels[row] = tail_labels
+    part = Partition(labels)
+    labels[row] = 0
+    return part
+
+
+def enumerate_partitions(config: ModelConfig):
+    """Yield every admissible partition exactly once, canonically ordered.
+
+    Guarded to n <= MAX_EXHAUSTIVE_N.  Labels follow the configuration's
+    cluster order; among equal-size clusters the smallest members increase
+    with the label, which deduplicates exchangeable assignments.  This is
+    the batched enumeration of the scan, expanded one partition at a time.
+    """
+    for labels, head, tail in _canonical_batches(config):
+        tail_labels = _tail_labels(config, len(head))
+        for row in tail:
+            yield _complete(labels, tail_labels, row)
 
 
 def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
@@ -169,8 +245,15 @@ def solve_exhaustive(
     tie_cap: int = 64,
 ) -> ExhaustiveResult:
     """Scan all admissible partitions for the maximal within-cluster edge
-    mass.  Deterministic: the returned partition is the first maximizer in
-    canonical enumeration order."""
+    mass.
+
+    Each batch of the canonical enumeration is scored at once: the leading
+    clusters' mass plus each trailing cluster's mass, gathered for every
+    row of the batch, with each cluster's mass truncated to an integer as
+    ``objective`` does.  Deterministic: the returned partition is the first
+    maximizer in canonical order, and the stored ties (the first one always,
+    then up to tie_cap in all) are the maximizers in that order.
+    """
     m = as_matrix(A)
     if m.shape[0] != config.n:
         raise ConfigError(
@@ -180,17 +263,27 @@ def solve_exhaustive(
     ties: list[Partition] = []
     tie_count = 0
     examined = 0
-    for part in enumerate_partitions(config):
-        examined += 1
-        val = objective(m, part)
-        if val > best_val:
-            best_val = val
-            ties = [part]
-            tie_count = 1
-        elif val == best_val:
-            tie_count += 1
-            if len(ties) < tie_cap:
-                ties.append(part)
+    sizes = config.sizes.tolist()
+    for labels, head, tail in _canonical_batches(config):
+        if not len(tail):
+            continue
+        examined += len(tail)
+        scores = sum(int(m[np.ix_(c, c)].sum()) for c in head)
+        start = 0
+        for size in sizes[len(head):]:
+            c = tail[:, start:start + size]
+            block = m[c[:, :, None], c[:, None, :]]
+            scores = scores + block.sum(axis=(1, 2)).astype(np.int64)
+            start += size
+        top = int(scores.max())
+        if top > best_val:
+            best_val, ties, tie_count = top, [], 0
+        if top == best_val:
+            hits = np.flatnonzero(scores == top)
+            tie_count += len(hits)
+            room = max(tie_cap - len(ties), 0 if ties else 1)
+            tail_labels = _tail_labels(config, len(head))
+            ties += [_complete(labels, tail_labels, tail[i]) for i in hits[:room]]
     return ExhaustiveResult(
         partition=ties[0],
         objective=int(best_val),
@@ -214,34 +307,28 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
     """Best-improvement label-swap ascent on the within-cluster edge mass.
 
     D[x, g] caches node x's adjacency mass into label group g; swapping the
-    labels of u and v changes the (unordered) mass by
+    labels a of u and b of v changes the (unordered) mass by
     (D[v,a] - D[u,a] - A_uv)[a>0] + (D[u,b] - D[v,b] - A_uv)[b>0].
+    Each step evaluates that gain for every pair u < v with a != b as one
+    array expression and takes the first maximum in row-major order; the
+    swap is made only if its gain exceeds 1e-12.  Swaps stop when none does.
     """
     n = m.shape[0]
     onehot = np.zeros((n, r + 1))
     onehot[np.arange(n), labels] = 1.0
     D = m @ onehot
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     swaps = 0
     while True:
-        best_gain = 0.0
-        best_pair = None
-        for u in range(n):
-            a = labels[u]
-            for v in range(u + 1, n):
-                b = labels[v]
-                if a == b:
-                    continue
-                gain = 0.0
-                if a != 0:
-                    gain += D[v, a] - D[u, a] - m[u, v]
-                if b != 0:
-                    gain += D[u, b] - D[v, b] - m[u, v]
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_pair = (u, v)
-        if best_pair is None:
+        into = D[:, labels]  # into[x, y] = D[x, label of y]
+        own = np.diagonal(into)
+        clustered = labels != 0
+        gain = (into.T - own[:, None] - m) * clustered[:, None]
+        gain += (into - own[None, :] - m) * clustered[None, :]
+        gain[~upper | (labels[:, None] == labels[None, :])] = -np.inf
+        u, v = divmod(int(np.argmax(gain)), n)
+        if not gain[u, v] > 1e-12:
             return labels, swaps
-        u, v = best_pair
         a, b = labels[u], labels[v]
         labels[u], labels[v] = b, a
         D[:, a] += m[:, v] - m[:, u]

@@ -27,7 +27,7 @@ from .exhaustive import (
     objective as partition_objective,
     solve_exhaustive,
 )
-from .generate import ObservedMatrix, sample_adjacency, sample_observed
+from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
 from .model import ConfigError, ModelConfig, Partition, partitions_equal
 from .presets import EXAMPLE_IDS, example6_reference_constants, example_config
 from .regimes import classify
@@ -84,9 +84,17 @@ def recover(algorithm: str, graph, config: ModelConfig,
 
     Partial observation: an ObservedMatrix is collapsed with unobserved
     pairs mapped to 0, and a configuration with gamma < 1 is replaced by its
-    gamma-collapsed form.  seed and restarts apply to local search only.
+    gamma-collapsed form.  An ObservedMatrix with unobserved pairs under a
+    gamma = 1 configuration is refused, since that model would read them as
+    non-edges.  seed and restarts apply to local search only.
     """
     if isinstance(graph, ObservedMatrix):
+        unobserved = int((graph.values == UNOBSERVED).sum()) // 2
+        if unobserved and config.gamma >= 1.0:
+            raise ConfigError(
+                f"the graph has {unobserved} unobserved pairs but the config "
+                f"has gamma = {config.gamma:g}; give the observation rate "
+                f"gamma < 1 to recover from a partially observed graph")
         graph = graph.to_adjacency(unobserved_as=0)
     if config.gamma < 1.0:
         config = config.collapsed()

@@ -215,6 +215,42 @@ class TestRecover:
         assert grouped(labels, [list(range(100)), list(range(100, 200))])
 
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--threshold", "1.5", "rounding_threshold"),
+        ("--max-iter", "0", "max_iter"),
+        ("--step", "0", "step"),
+    ])
+    def test_out_of_range_solver_option_exits_2(self, small_config, small_graph,
+                                               capsys, flag, value, field):
+        assert main(["recover", "--config", small_config,
+                     "--adjacency", small_graph, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: solver options: ")
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_observed_graph_with_full_config_exits_2(self, tmp_path,
+                                                     small_config, capsys):
+        graph = tmp_path / "partial.graph"
+        main(["generate", "--config", small_config, "--gamma", "0.6",
+              "--out", str(graph)])
+        capsys.readouterr()
+        unobserved = int((read_graph(graph).values == -1).sum()) // 2
+        assert unobserved > 0
+        assert main(["recover", "--config", small_config,
+                     "--adjacency", str(graph), "--algorithm", "exhaustive"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"{unobserved} unobserved pairs" in captured.err
+        assert "gamma = 1" in captured.err
+        assert captured.out == ""
+        # With the observation rate given, the same file is recovered.
+        assert main(["recover", "--config", small_config, "--gamma", "0.6",
+                     "--adjacency", str(graph), "--algorithm", "exhaustive"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("node,label")
+
 class TestBenchSpectral:
     def test_csv_output_and_summary(self, tmp_path, small_config, capsys):
         out = tmp_path / "bench.csv"
@@ -289,6 +325,20 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--spec", str(path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["convex"]["failure_counts"]["nonconvergence"] == 2
+
+    def test_unknown_solver_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo_spec.json"
+        path.write_text(json.dumps({
+            "config": SMALL,
+            "algorithms": ["convex"],
+            "trials": 1,
+            "solver": {"max_iters": 5},
+        }))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: solver options: ")
+        assert "max_iters" in captured.err
+        assert captured.out == ""
 
     def test_spec_without_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad_spec.json"

@@ -1,5 +1,6 @@
 """Exhaustive combinatorial recovery, likelihood, and local search."""
 
+import hashlib
 import itertools
 import math
 
@@ -27,6 +28,23 @@ REL = 1e-12
 
 def key(partition):
     return clustering_matrix(partition).tobytes()
+
+
+def digest(labels):
+    """Short hash of a label array (or of concatenated label arrays)."""
+    return hashlib.sha256(np.asarray(labels, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+BENCH200 = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05)
+ISO60 = ModelConfig(60, [(20, 0.5), (15, 0.6), (10, 0.7)], 0.1)
+TIE8 = ModelConfig(8, [(2, 0.3), (2, 0.3), (2, 0.3)], 0.2)
+THREE10 = ModelConfig(10, [(3, 0.9), (3, 0.9), (3, 0.9)], 0.1)
+SPARSE9 = ModelConfig(9, [(3, 0.2), (3, 0.2)], 0.1)
+SCAN14 = ModelConfig(14, [(5, 0.9), (5, 0.9)], 0.05)
+# Enough partitions that the scan places leading clusters one at a time
+# and scores several trailing equal-size clusters per batch.
+FOUR12 = ModelConfig(12, [(3, 0.6)] * 4, 0.1)
+PAIRS13 = ModelConfig(13, [(2, 0.5)] * 6, 0.1)
 
 
 class TestPartitionCount:
@@ -226,6 +244,26 @@ class TestSolveExhaustive:
         assert len(res.ties) == 4
         assert res.tie_cap == 4
 
+    @pytest.mark.parametrize("config,seed", [
+        (TIE8, 0), (THREE10, 1), (SPARSE9, 0),
+        (ModelConfig(9, [(4, 0.8), (2, 0.8)], 0.1), 3),
+        (ModelConfig(7, [(3, 0.6)], 0.2), 4), (FOUR12, 0),
+    ])
+    def test_matches_enumeration_reference(self, config, seed):
+        # The reference scores each enumerated partition with objective()
+        # and keeps the first tie_cap maximizers in enumeration order.
+        A = sample_adjacency(config, config.planted_partition(), seed=seed)
+        parts = list(enumerate_partitions(config))
+        values = [objective(A, p) for p in parts]
+        best = max(values)
+        maximizers = [p.labels.tolist() for p, v in zip(parts, values) if v == best]
+        for tie_cap in (64, 2):
+            res = solve_exhaustive(A, config, tie_cap=tie_cap)
+            assert res.objective == best
+            assert res.tie_count == len(maximizers)
+            assert res.partitions_examined == len(parts)
+            assert [t.labels.tolist() for t in res.ties] == maximizers[:tie_cap]
+
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             solve_exhaustive(np.zeros((4, 4)), self.CFG)
@@ -273,3 +311,65 @@ class TestLocalSearch:
             local_search(A, cfg, seed=0, restarts=0)
         with pytest.raises(ConfigError):
             local_search(np.zeros((4, 4)), cfg, seed=0)
+
+
+class TestFrozenOutputs:
+    """Outputs recorded from the one-pair-at-a-time swap search and the
+    one-partition-at-a-time scan.  Any change in swap order, scan order or
+    tie bookkeeping changes one of these values."""
+
+    # (config, seed) -> (labels digest, objective, best_restart, swaps),
+    # with the graph drawn from seed and local_search(seed=seed, restarts=10).
+    SEARCH = [
+        (BENCH200, 0, ("dee32dde3334b62a", 10016, 0, 479)),
+        (BENCH200, 1, ("dee32dde3334b62a", 9866, 0, 461)),
+        (BENCH200, 2, ("de627fa4116d5e80", 9984, 0, 478)),
+        (ISO60, 0, ("0b87e388bc3f476a", 368, 0, 261)),
+        (ISO60, 1, ("9aca1c2d204dbbac", 364, 1, 232)),
+    ]
+
+    @pytest.mark.parametrize("config,seed,expect", SEARCH)
+    def test_local_search(self, config, seed, expect):
+        A = sample_adjacency(config, config.planted_partition(), seed=seed)
+        res = local_search(A, config, seed=seed, restarts=10)
+        got = (digest(res.partition.labels), res.objective, res.best_restart,
+               res.swaps)
+        assert got == expect
+
+    # (config, seed) -> (objective, tie_count, partitions_examined, the
+    # first three ties, digest of all ties kept at tie_cap=64).
+    SCAN = [
+        (TIE8, 0, (6, 4, 420, [[1, 1, 2, 3, 0, 0, 3, 2], [1, 2, 3, 1, 2, 0, 0, 3],
+                               [1, 2, 3, 1, 0, 0, 2, 3]], "65c97b4fb24c6774")),
+        (THREE10, 1, (16, 3, 2800, [[1, 1, 1, 2, 2, 2, 3, 3, 3, 0],
+                                    [1, 1, 1, 2, 2, 2, 3, 3, 0, 3],
+                                    [1, 1, 1, 2, 2, 2, 0, 3, 3, 3]],
+                      "9583cf6ea9a7c43b")),
+        (SPARSE9, 0, (4, 20, 840, [[1, 1, 1, 2, 2, 2, 0, 0, 0],
+                                   [1, 1, 1, 2, 2, 0, 2, 0, 0],
+                                   [1, 1, 1, 2, 2, 0, 0, 2, 0]],
+                      "318db2394bf4a572")),
+        (SCAN14, 0, (40, 1, 126126, [[1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0, 0, 0]],
+                     "b690305ed138fc5a")),
+        (FOUR12, 0, (16, 4, 15400, [[1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4],
+                                    [1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 3, 4],
+                                    [1, 1, 1, 2, 2, 2, 3, 4, 4, 3, 3, 4]],
+                     "f3e156183d152ffe")),
+        (PAIRS13, 0, (10, 9, 135135, [[1, 1, 2, 2, 3, 4, 3, 5, 6, 6, 4, 5, 0],
+                                      [1, 1, 2, 3, 4, 2, 4, 5, 6, 3, 6, 5, 0],
+                                      [1, 1, 2, 3, 4, 5, 4, 6, 2, 3, 5, 6, 0]],
+                      "9c67570c5cbcb913")),
+    ]
+
+    @pytest.mark.parametrize("config,seed,expect", SCAN)
+    def test_solve_exhaustive(self, config, seed, expect):
+        best, tie_count, examined, first_ties, all_ties = expect
+        A = sample_adjacency(config, config.planted_partition(), seed=seed)
+        results = {cap: solve_exhaustive(A, config, tie_cap=cap) for cap in (64, 3)}
+        for cap, res in results.items():
+            assert (res.objective, res.tie_count, res.partitions_examined) == (
+                best, tie_count, examined)
+            assert res.partition.labels.tolist() == first_ties[0]
+            assert len(res.ties) == min(cap, tie_count)
+        assert [t.labels.tolist() for t in results[3].ties] == first_ties
+        assert digest(np.concatenate([t.labels for t in results[64].ties])) == all_ties

@@ -224,6 +224,24 @@ class TestRecover:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             recover("oracle", graph, SMALL)
 
+    def test_observed_graph_needs_partial_config(self):
+        partial = ModelConfig(60, [(30, 0.95), (30, 0.95)], 0.01, gamma=0.8)
+        full = ModelConfig(60, [(30, 0.95), (30, 0.95)], 0.01)
+        graph = sample_observed(partial, partial.planted_partition(), 0)
+        unobserved = int((~graph.observed_mask()).sum() - 60) // 2
+        assert unobserved > 0
+        with pytest.raises(ConfigError) as err:
+            recover("counting", graph, full)
+        assert f"{unobserved} unobserved pairs" in str(err.value)
+        assert "gamma = 1" in str(err.value)
+        assert recover("counting", graph, partial).failure_kind in FAILURE_KINDS
+        # Every pair observed: the graph is fully observed and accepted.
+        observed = sample_observed(full, full.planted_partition(), 0)
+        rec = recover("counting", observed, full)
+        direct = recover("counting", observed.to_adjacency(), full)
+        assert rec.failure_kind == direct.failure_kind == "none"
+        assert np.array_equal(rec.partition.labels, direct.partition.labels)
+
     def test_convex_solver_reached_through_harness_global(self, monkeypatch,
                                                           tmp_path, capsys):
         # The benchmark taps every convex solve by replacing
