@@ -99,7 +99,7 @@ def _with_gamma(config: ModelConfig, gamma: float | None) -> ModelConfig:
     """Apply the --gamma override, if given."""
     if gamma is None:
         return config
-    return ModelConfig.from_arrays(config.n, config.sizes, config.probs, config.q, gamma)
+    return ModelConfig.from_runs(config.n, *config.runs, config.q, gamma)
 
 
 def _write_or_print(text: str, out: str | None) -> None:

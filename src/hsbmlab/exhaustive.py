@@ -345,7 +345,7 @@ def local_search(
     """Randomly seeded best-improvement swap search; keeps the best local
     optimum over the given number of restarts.  Deterministic under seed."""
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ConfigError(f"restarts must be >= 1, got {restarts}")
     m = as_matrix(A).astype(float)
     n = m.shape[0]
     if n != config.n:

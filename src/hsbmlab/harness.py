@@ -57,6 +57,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown algorithms {bad}; known: {list(ALGORITHMS)}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
+        if "local-search" in self.algorithms and self.restarts < 1:
+            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if "exhaustive" in self.algorithms and self.config.n > MAX_EXHAUSTIVE_N:
             raise ConfigError(
                 f"exhaustive search allowed only for n <= {MAX_EXHAUSTIVE_N}, "
@@ -194,7 +196,7 @@ def run_monte_carlo(spec: ExperimentSpec, workers: int = 1) -> MonteCarloResult:
     on its own seed and rows are sorted before aggregation.
     """
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(alg, t) for alg in spec.algorithms for t in range(spec.trials)]
     if workers == 1:
         rows = [run_trial(spec, alg, t) for alg, t in tasks]

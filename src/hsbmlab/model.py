@@ -37,6 +37,20 @@ class Cluster:
             raise ConfigError(f"cluster probability must be in [0, 1], got {self.p}")
 
 
+def _integers(values, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        if not np.all(arr == np.floor(arr)):
+            raise ConfigError(f"cluster {what} must be integers")
+    return arr.astype(np.int64)
+
+
+def _expand(per_run: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    out = np.repeat(per_run, counts)
+    out.flags.writeable = False
+    return out
+
+
 class ModelConfig:
     """Immutable description of a heterogeneous planted-partition model.
 
@@ -47,12 +61,15 @@ class ModelConfig:
     q : ambient edge probability, must satisfy q < min_k p_k.
     gamma : observation rate in (0, 1].
 
-    Cluster data is held as parallel read-only arrays (``sizes``, ``probs``)
-    so that configurations with very many clusters stay cheap to build and
-    analyze.
+    Clusters are held as runs: parallel read-only arrays of sizes,
+    probabilities and counts (``runs``), with consecutive clusters of equal
+    (size, p) merged into one run.  A preset with millions of clusters of a
+    few distinct sizes is then a few runs, and every reduction over clusters
+    costs O(runs).  ``sizes`` and ``probs`` expand the runs to one entry per
+    cluster on each access.
     """
 
-    __slots__ = ("n", "q", "gamma", "_sizes", "_probs")
+    __slots__ = ("n", "q", "gamma", "_sizes", "_probs", "_counts")
 
     def __init__(
         self,
@@ -69,42 +86,48 @@ class ModelConfig:
                 raise ConfigError(f"cluster size must be an integer, got {size!r}")
             raw_sizes.append(int(size))
             raw_probs.append(float(p))
-        self._init_from_arrays(
-            n,
-            np.array(raw_sizes, dtype=np.int64),
-            np.array(raw_probs, dtype=np.float64),
-            q,
-            gamma,
-        )
+        self._init_from_runs(n, raw_sizes, raw_probs, [1] * len(raw_sizes), q, gamma)
 
     @classmethod
     def from_arrays(cls, n: int, sizes, probs, q: float, gamma: float = 1.0) -> "ModelConfig":
-        """Bulk constructor from parallel size/probability arrays."""
-        sizes_arr = np.asarray(sizes)
-        if sizes_arr.dtype.kind not in "iu":
-            if not np.all(sizes_arr == np.floor(sizes_arr)):
-                raise ConfigError("cluster sizes must be integers")
+        """Bulk constructor from parallel per-cluster size/probability arrays."""
+        return cls.from_runs(n, sizes, probs, np.ones(np.shape(sizes), dtype=np.int64),
+                             q, gamma)
+
+    @classmethod
+    def from_runs(cls, n: int, sizes, probs, counts, q: float,
+                  gamma: float = 1.0) -> "ModelConfig":
+        """Bulk constructor from runs: ``counts[i]`` consecutive clusters of
+        size ``sizes[i]`` and probability ``probs[i]``.  Runs with count 0
+        are dropped."""
         self = cls.__new__(cls)
-        self._init_from_arrays(
-            n,
-            sizes_arr.astype(np.int64),
-            np.asarray(probs, dtype=np.float64).copy(),
-            q,
-            gamma,
-        )
+        self._init_from_runs(n, sizes, probs, counts, q, gamma)
         return self
 
-    def _init_from_arrays(self, n, sizes: np.ndarray, probs: np.ndarray,
-                          q, gamma) -> None:
-        if sizes.shape != probs.shape or sizes.ndim != 1:
+    def _init_from_runs(self, n, sizes, probs, counts, q, gamma) -> None:
+        sizes = _integers(sizes, "sizes")
+        counts = _integers(counts, "counts")
+        probs = np.asarray(probs, dtype=np.float64)
+        if not (sizes.ndim == 1 and sizes.shape == probs.shape == counts.shape):
             raise ConfigError("cluster sizes and probabilities must be parallel 1-D")
-        sizes.flags.writeable = False
-        probs.flags.writeable = False
+        if np.any(counts < 0):
+            raise ConfigError("cluster counts must be >= 0")
+        keep = counts > 0
+        sizes, probs, counts = sizes[keep], probs[keep], counts[keep]
+        if sizes.size:
+            new_run = np.ones(sizes.size, dtype=bool)
+            new_run[1:] = (sizes[1:] != sizes[:-1]) | (probs[1:] != probs[:-1])
+            starts = np.flatnonzero(new_run)
+            sizes, probs = sizes[starts], probs[starts]
+            counts = np.add.reduceat(counts, starts)
+        for arr in (sizes, probs, counts):
+            arr.flags.writeable = False
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "q", float(q))
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_counts", counts)
         self._validate()
 
     def __setattr__(self, name: str, value) -> None:
@@ -119,7 +142,7 @@ class ModelConfig:
             raise ConfigError(f"cluster sizes must be >= 1, got {self._sizes.min()}")
         if np.any((self._probs < 0.0) | (self._probs > 1.0)):
             raise ConfigError("cluster probabilities must be in [0, 1]")
-        total = int(self._sizes.sum())
+        total = self.n_covered
         if total > self.n:
             raise ConfigError(f"cluster sizes sum to {total} > n = {self.n}")
         if not (0.0 <= self.q <= 1.0):
@@ -135,24 +158,31 @@ class ModelConfig:
     # -- convenience views -------------------------------------------------
 
     @property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sizes, probs, counts): one read-only entry per run of equal
+        consecutive clusters."""
+        return self._sizes, self._probs, self._counts
+
+    @property
     def r(self) -> int:
         """Number of planted clusters."""
-        return int(self._sizes.size)
+        return int(self._counts.sum())
 
     @property
     def sizes(self) -> np.ndarray:
-        """Cluster sizes as a read-only int array."""
-        return self._sizes
+        """Cluster sizes as a read-only int array, one entry per cluster."""
+        return _expand(self._sizes, self._counts)
 
     @property
     def probs(self) -> np.ndarray:
-        """Cluster probabilities as a read-only float array."""
-        return self._probs
+        """Cluster probabilities as a read-only float array, one entry per
+        cluster."""
+        return _expand(self._probs, self._counts)
 
     @property
     def n_covered(self) -> int:
         """Number of nodes inside planted clusters (n-bar)."""
-        return int(self._sizes.sum())
+        return int((self._sizes * self._counts).sum())
 
     @property
     def n0(self) -> int:
@@ -166,18 +196,17 @@ class ModelConfig:
             self.n == other.n
             and self.q == other.q
             and self.gamma == other.gamma
-            and np.array_equal(self._sizes, other._sizes)
-            and np.array_equal(self._probs, other._probs)
+            and all(np.array_equal(a, b) for a, b in zip(self.runs, other.runs))
         )
 
     def __hash__(self) -> int:
         return hash((self.n, self.q, self.gamma,
-                     self._sizes.tobytes(), self._probs.tobytes()))
+                     *(arr.tobytes() for arr in self.runs)))
 
     def __repr__(self) -> str:
         if self.r <= 6:
             body = ", ".join(f"({s}, {p:g})"
-                             for s, p in zip(self._sizes.tolist(), self._probs.tolist()))
+                             for s, p in zip(self.sizes.tolist(), self.probs.tolist()))
         else:
             body = f"<{self.r} clusters, sizes {self._sizes.min()}..{self._sizes.max()}>"
         return (f"ModelConfig(n={self.n}, clusters=[{body}], q={self.q:g}, "
@@ -189,8 +218,9 @@ class ModelConfig:
         Mapping unobserved pairs to 0 turns the partially observed model into
         the fully observed one with p_k -> gamma*p_k and q -> gamma*q.
         """
-        return ModelConfig.from_arrays(
-            self.n, self._sizes, self.gamma * self._probs, self.gamma * self.q, 1.0
+        return ModelConfig.from_runs(
+            self.n, self._sizes, self.gamma * self._probs, self._counts,
+            self.gamma * self.q, 1.0,
         )
 
     def planted_partition(self) -> "Partition":
@@ -199,7 +229,7 @@ class ModelConfig:
         labels = np.zeros(self.n, dtype=np.int32)
         covered = self.n_covered
         labels[:covered] = np.repeat(
-            np.arange(1, self.r + 1, dtype=np.int32), self._sizes
+            np.arange(1, self.r + 1, dtype=np.int32), self.sizes
         )
         return Partition(labels)
 
@@ -209,7 +239,7 @@ class ModelConfig:
         return {
             "n": self.n,
             "clusters": [[int(s), float(p)]
-                         for s, p in zip(self._sizes.tolist(), self._probs.tolist())],
+                         for s, p in zip(self.sizes.tolist(), self.probs.tolist())],
             "q": self.q,
             "gamma": self.gamma,
         }
@@ -294,15 +324,19 @@ def clique_components(link: np.ndarray, keep: np.ndarray | None = None):
 
 @dataclass(frozen=True)
 class DerivedStats:
-    """Per-cluster signal and noise scales.
+    """Per-cluster signal and noise scales, held per run of equal clusters.
 
     rho_k = n_k (p_k - q) is the relative density of cluster k;
     sigma_k^2 = n_k p_k (1 - p_k) its degree variance scale;
     sigma0^2 = n q (1 - q) the ambient variance scale.
+    ``run_rho`` and ``run_sigma_sq`` hold one value per run of
+    ``config.runs`` (``counts`` clusters each); ``rho`` and ``sigma_sq``
+    expand them to one value per cluster.
     """
 
-    rho: np.ndarray
-    sigma_sq: np.ndarray
+    run_rho: np.ndarray
+    run_sigma_sq: np.ndarray
+    counts: np.ndarray
     sigma0_sq: float
     sigma_max_sq: float
     rho_min: float
@@ -311,22 +345,31 @@ class DerivedStats:
     n_min: int
     n_max: int
 
+    @property
+    def rho(self) -> np.ndarray:
+        return _expand(self.run_rho, self.counts)
+
+    @property
+    def sigma_sq(self) -> np.ndarray:
+        return _expand(self.run_sigma_sq, self.counts)
+
 
 def derived_stats(config: ModelConfig) -> DerivedStats:
-    sizes = config.sizes.astype(float)
-    probs = config.probs
+    sizes, probs, counts = config.runs
+    sizes = sizes.astype(float)
     rho = sizes * (probs - config.q)
     sigma_sq = sizes * probs * (1.0 - probs)
     return DerivedStats(
-        rho=rho,
-        sigma_sq=sigma_sq,
+        run_rho=rho,
+        run_sigma_sq=sigma_sq,
+        counts=counts,
         sigma0_sq=config.n * config.q * (1.0 - config.q),
         sigma_max_sq=float(sigma_sq.max()),
         rho_min=float(rho.min()),
         p_min=float(probs.min()),
         p_max=float(probs.max()),
-        n_min=int(config.sizes.min()),
-        n_max=int(config.sizes.max()),
+        n_min=int(sizes.min()),
+        n_max=int(sizes.max()),
     )
 
 
@@ -334,9 +377,11 @@ def cross_pair_peak(config: ModelConfig) -> float:
     """max over cluster pairs k != l of b_k + b_l (requires r >= 2), with
     b_k = (n_k - 1) p_k - n_k q = rho_k - p_k, the amount by which a
     cluster-k member's expected adjacency mass into its own cluster exceeds
-    the ambient level."""
-    sizes = config.sizes.astype(float)
-    b = (sizes - 1.0) * config.probs - sizes * config.q
+    the ambient level.  Each run contributes at most two clusters, enough
+    for the top pair."""
+    sizes, probs, counts = config.runs
+    sizes = sizes.astype(float)
+    b = np.repeat((sizes - 1.0) * probs - sizes * config.q, np.minimum(counts, 2))
     return float(np.partition(b, b.size - 2)[-2:].sum())
 
 

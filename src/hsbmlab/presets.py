@@ -31,7 +31,9 @@ large-cluster size have none.  Unspecified coefficient levels default to
 1.0, except probability-valued O(1) levels which default to 0.95 so that
 variances stay nonzero.  Fractional sizes are
 resolved by spreading the remainder over equal-size groups (sizes differ by
-at most one), keeping the total exactly n.
+at most one), keeping the total exactly n.  Presets build their clusters as
+(size, p, count) runs, so building and classifying one costs the same at
+n = 10^12 as at 10^4, however many clusters it has.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ from .model import ConfigError, ModelConfig
 EXAMPLE_IDS = (1, 2, 3, 4, 5, 6)
 
 
-def _spread(total: int, parts: int) -> list[int]:
-    """Split total into `parts` integer sizes differing by at most one
-    (larger sizes first)."""
+def _spread(total: int, parts: int) -> list[tuple[int, int]]:
+    """Split total into `parts` integer sizes differing by at most one, as
+    two (size, count) runs, larger size first; the first count may be 0."""
     if parts < 1 or total < parts:
         raise ConfigError(f"cannot spread {total} nodes over {parts} clusters")
     base, extra = divmod(total, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
+    return [(base + 1, extra), (base, parts - extra)]
 
 
 def _take(constants: dict, defaults: dict, example_id: int) -> dict:
@@ -70,11 +72,11 @@ def _take(constants: dict, defaults: dict, example_id: int) -> dict:
     return merged
 
 
-def _build(example_id: int, n: int, clusters, q: float) -> ModelConfig:
+def _build(example_id: int, n: int, runs, q: float) -> ModelConfig:
+    """Config from (size, p, count) runs, in cluster order."""
     try:
-        sizes = [s for s, _ in clusters]
-        probs = [p for _, p in clusters]
-        return ModelConfig.from_arrays(n, sizes, probs, q)
+        sizes, probs, counts = zip(*runs)
+        return ModelConfig.from_runs(n, sizes, probs, counts, q)
     except ConfigError as exc:
         raise ConfigError(f"example {example_id} infeasible at n = {n}: {exc}") from exc
 
@@ -87,7 +89,7 @@ def _example1(n: int, constants: dict) -> ModelConfig:
     p1 = n ** (-2.0 / 3.0)
     p2 = 1.0 / math.log(n)
     q = n ** (-2.0 / 3.0 - 0.01)
-    return _build(1, n, [(n - s2, p1), (s2, p2)], q)
+    return _build(1, n, [(n - s2, p1, 1), (s2, p2, 1)], q)
 
 
 def _example2(n: int, constants: dict) -> ModelConfig:
@@ -103,7 +105,7 @@ def _example2(n: int, constants: dict) -> ModelConfig:
     q = n ** (-2.0 / 3.0 + 3.0 * eps)
     if n1 < 1:
         raise ConfigError(f"example 2 infeasible at n = {n}: giant cluster empty")
-    return _build(2, n, [(n1, p1)] + [(s2, p2)] * k2, q)
+    return _build(2, n, [(n1, p1, 1), (s2, p2, k2)], q)
 
 
 def _example3(n: int, constants: dict) -> ModelConfig:
@@ -127,7 +129,7 @@ def _example3(n: int, constants: dict) -> ModelConfig:
     p2 = c["c2"] * log_n / math.sqrt(n)
     q = c["c_q"] * log_n / n
     medium = _spread(n - m * s1, k2)
-    return _build(3, n, [(s1, c["p1"])] * m + [(s, p2) for s in medium], q)
+    return _build(3, n, [(s1, c["p1"], m)] + [(s, p2, k) for s, k in medium], q)
 
 
 def _example4(n: int, constants: dict) -> ModelConfig:
@@ -150,7 +152,7 @@ def _example4(n: int, constants: dict) -> ModelConfig:
     p_big = math.log(n) / n**alpha
     q = c["c_q"] * math.log(n) / n**beta
     small = _spread(n - n_big, k_small)
-    return _build(4, n, [(s, c["p1"]) for s in small] + [(n_big, p_big)], q)
+    return _build(4, n, [(s, c["p1"], k) for s, k in small] + [(n_big, p_big, 1)], q)
 
 
 def _example5(n: int, constants: dict) -> ModelConfig:
@@ -167,7 +169,7 @@ def _example5(n: int, constants: dict) -> ModelConfig:
     if rest < k1 or k1 < 1:
         raise ConfigError(f"example 5 infeasible at n = {n}")
     small = _spread(rest, k1)
-    return _build(5, n, [(s, c["p1"]) for s in small] + [(s_big, p_big)] * m, q)
+    return _build(5, n, [(s, c["p1"], k) for s, k in small] + [(s_big, p_big, m)], q)
 
 
 def _example6(n: int, constants: dict) -> ModelConfig:
@@ -186,7 +188,7 @@ def _example6(n: int, constants: dict) -> ModelConfig:
             f"example 6 needs the leading cluster to dominate: n1 = {n1} < "
             f"n_min = {n_min}"
         )
-    return _build(6, n, [(n1, p_min), (n_min, p2)] + [(n3, p3)] * k3, q)
+    return _build(6, n, [(n1, p_min, 1), (n_min, p2, 1), (n3, p3, k3)], q)
 
 
 def example6_reference_constants(n: int) -> dict:

@@ -155,16 +155,23 @@ def _binding_from(core: list[ConditionReport], tail_scores: list[float] | None =
     return float(min(scores)) if scores else math.nan
 
 
+def _cluster_sum(counts: np.ndarray, per_run: np.ndarray) -> float:
+    """Sum over clusters of a per-run quantity: each run counts its clusters."""
+    return float(np.sum(counts * per_run))
+
+
 def _cluster_signal(config: ModelConfig, st: DerivedStats, log_factor,
                     C: float) -> ConditionReport:
     """rho_k^2 >= C sigma_k^2 log_factor_k for all k, reported at the
-    binding (lowest-score) cluster."""
-    rhs = st.sigma_sq * log_factor
-    scores = np.where(rhs > 0, st.rho**2 / np.where(rhs > 0, C * rhs, 1.0), math.inf)
+    binding (lowest-score) cluster: the first cluster of the first run with
+    the lowest score.  log_factor is a scalar or one value per run."""
+    rhs = st.run_sigma_sq * log_factor
+    scores = np.where(rhs > 0, st.run_rho**2 / np.where(rhs > 0, C * rhs, 1.0), math.inf)
     k = int(np.argmin(scores))
+    first = int(st.counts[:k].sum())
     return ConditionReport.ge(
-        "cluster_signal", float(st.rho[k] ** 2), float(rhs[k]), C,
-        note=f"binding cluster {k + 1} of {config.r}",
+        "cluster_signal", float(st.run_rho[k] ** 2), float(rhs[k]), C,
+        note=f"binding cluster {first + 1} of {config.r}",
     )
 
 
@@ -182,7 +189,8 @@ def check_easy_clusterwise(
     small for some alpha in the grid (vanishing-size-tail surrogate).
     """
     st = derived_stats(config)
-    sizes = np.array(config.sizes, dtype=float)
+    sizes, _, counts = config.runs
+    sizes = sizes.astype(float)
     rep_i = _cluster_signal(config, st, np.log(sizes), C)
     rep_ii = ConditionReport.ge(
         "separation", chi_square_div(st.p_min, config.q),
@@ -194,7 +202,8 @@ def check_easy_clusterwise(
     )
     tail_reports = [
         ConditionReport.le(
-            f"size_tail(alpha={alpha:g})", float(np.sum(sizes**-alpha)), o1_threshold,
+            f"size_tail(alpha={alpha:g})", _cluster_sum(counts, sizes**-alpha),
+            o1_threshold,
         )
         for alpha in alpha_grid
     ]
@@ -265,24 +274,25 @@ def check_impossible(config: ModelConfig) -> RegimeCheck:
     exactly recover the planted partition with vanishing error."""
     st = derived_stats(config)
     n = config.n
-    sizes = np.array(config.sizes, dtype=float)
-    probs = np.array(config.probs, dtype=float)
+    sizes, probs, counts = config.runs
+    sizes = sizes.astype(float)
     q = config.q
     r = config.r
     in_window = bool(np.all((sizes >= 2) & (sizes <= n / math.e)))
 
     reports: list[ConditionReport] = []
     if in_window:
-        lhs1 = 4.0 * float(np.sum(sizes**2 * chi_square_div(probs, q)))
-        rhs1 = 0.5 * float(np.sum(sizes * np.log(n / sizes))) - r - 2.0
+        lhs1 = 4.0 * _cluster_sum(counts, sizes**2 * chi_square_div(probs, q))
+        rhs1 = 0.5 * _cluster_sum(counts, sizes * np.log(n / sizes)) - r - 2.0
         reports.append(ConditionReport.le("divergence_budget", lhs1, rhs1))
         if st.p_max >= 1.0:
             ratio_term = 0.0 if st.p_min >= 1.0 else math.inf
         else:
             ratio_term = math.log((1.0 - st.p_min) / (1.0 - st.p_max))
-        lhs2 = 0.5 * r + ratio_term + 1.0 + float(np.sum(sizes**2 * probs))
-        rhs2 = (n / 4.0 - float(np.sum(sizes**2 * probs))) * math.log(n) + float(
-            np.sum((sizes * probs - 0.25) * sizes * np.log(sizes))
+        mass = _cluster_sum(counts, sizes**2 * probs)
+        lhs2 = 0.5 * r + ratio_term + 1.0 + mass
+        rhs2 = (n / 4.0 - mass) * math.log(n) + _cluster_sum(
+            counts, (sizes * probs - 0.25) * sizes * np.log(sizes)
         )
         reports.append(ConditionReport.le("likelihood_budget", lhs2, rhs2))
     else:
@@ -328,8 +338,8 @@ def check_simple(config: ModelConfig) -> RegimeCheck:
     """
     n = config.n
     q = config.q
-    sizes = np.array(config.sizes, dtype=float)
-    probs = np.array(config.probs, dtype=float)
+    sizes, probs, _ = config.runs
+    sizes = sizes.astype(float)
     log_n = math.log(n)
 
     lhs_iso = float(np.min((sizes - 1.0) ** 2 * (probs - q) ** 2))

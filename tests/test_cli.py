@@ -251,6 +251,15 @@ class TestRecover:
         assert captured.err == ""
         assert captured.out.startswith("node,label")
 
+    def test_zero_restarts_exits_2(self, small_config, small_graph, capsys):
+        assert main(["recover", "--config", small_config, "--adjacency",
+                     small_graph, "--algorithm", "local-search",
+                     "--restarts", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: restarts must be >= 1, got 0\n"
+        assert captured.out == ""
+
+
 class TestBenchSpectral:
     def test_csv_output_and_summary(self, tmp_path, small_config, capsys):
         out = tmp_path / "bench.csv"
@@ -338,6 +347,25 @@ class TestMonteCarlo:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: solver options: ")
         assert "max_iters" in captured.err
+        assert captured.out == ""
+
+    def test_zero_restarts_in_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "restarts_spec.json"
+        path.write_text(json.dumps({
+            "config": SMALL,
+            "algorithms": ["convex", "local-search"],
+            "trials": 1,
+            "restarts": 0,
+        }))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: restarts must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_zero_workers_exits_2(self, spec_file, capsys):
+        assert main(["montecarlo", "--spec", spec_file, "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be >= 1, got 0\n"
         assert captured.out == ""
 
     def test_spec_without_config_exits_2(self, tmp_path, capsys):

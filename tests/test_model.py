@@ -1,6 +1,9 @@
 """Domain types and closed-form derived quantities."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,16 +18,22 @@ from hsbmlab import (
     chi_square_div,
     clustering_matrix,
     derived_stats,
+    example6_reference_constants,
+    example_config,
     kl_div,
     partitions_equal,
 )
-from hsbmlab.model import clique_components
+from hsbmlab.model import clique_components, cross_pair_peak
 
 REL = 1e-12
 
 
 def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 # -- ModelConfig construction and invariants --------------------------------
@@ -118,6 +127,107 @@ class TestModelConfig:
         cfg = ModelConfig(9, [(3, 0.9), (4, 0.8)], 0.05)
         part = cfg.planted_partition()
         assert part.labels.tolist() == [1, 1, 1, 2, 2, 2, 2, 0, 0]
+
+
+class TestRuns:
+    """Clusters are stored as runs of equal consecutive clusters; every
+    per-cluster view must read as if they were stored one by one."""
+
+    # Digests of sizes, probs and to_dict() and the repr of each preset at
+    # 10^4 and 10^5, recorded before clusters were stored as runs.
+    FROZEN = json.loads(
+        (Path(__file__).parent / "data" / "frozen_regimes.json").read_text()
+    )["presets"]
+
+    @pytest.mark.parametrize("key", sorted(FROZEN))
+    def test_preset_views_unchanged(self, key):
+        ex, n = (int(v) for v in key.split("@"))
+        cfg = example_config(ex, n, example6_reference_constants(n) if ex == 6 else None)
+        want = self.FROZEN[key]
+        assert cfg.sizes.dtype == np.int64 and cfg.probs.dtype == np.float64
+        assert sha256(cfg.sizes.tobytes()) == want["sizes"]
+        assert sha256(cfg.probs.tobytes()) == want["probs"]
+        assert sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()) == want["to_dict"]
+        assert repr(cfg) == want["repr"]
+        again = ModelConfig.from_dict(cfg.to_dict())
+        assert again == cfg and hash(again) == hash(cfg)
+        assert cfg.r == len(cfg.sizes) and cfg.n_covered == int(cfg.sizes.sum())
+
+    def test_equal_neighbours_merge(self):
+        a = ModelConfig(12, [(5, 0.9), (5, 0.9)], 0.05)
+        b = ModelConfig.from_arrays(12, [5, 5], [0.9, 0.9], 0.05)
+        c = ModelConfig.from_runs(12, [5], [0.9], [2], 0.05)
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        sizes, probs, counts = a.runs
+        assert (sizes.tolist(), probs.tolist(), counts.tolist()) == ([5], [0.9], [2])
+        assert a.r == 2 and a.sizes.tolist() == [5, 5] and a.probs.tolist() == [0.9, 0.9]
+        assert a != ModelConfig(12, [(5, 0.9)], 0.05)
+        assert a != ModelConfig(12, [(5, 0.9), (5, 0.8)], 0.05)
+
+    def test_non_adjacent_equal_clusters_keep_order(self):
+        cfg = ModelConfig(10, [(3, 0.9), (2, 0.8), (3, 0.9)], 0.05)
+        assert cfg.runs[2].tolist() == [1, 1, 1]
+        assert cfg.sizes.tolist() == [3, 2, 3]
+        assert cfg.probs.tolist() == [0.9, 0.8, 0.9]
+        assert cfg.planted_partition().labels.tolist() == [1, 1, 1, 2, 2, 3, 3, 3, 0, 0]
+        assert cfg.to_dict()["clusters"] == [[3, 0.9], [2, 0.8], [3, 0.9]]
+        assert cfg != ModelConfig(10, [(3, 0.9), (3, 0.9), (2, 0.8)], 0.05)
+
+    def test_runs_and_views_read_only(self):
+        cfg = ModelConfig.from_runs(30, [4, 3], [0.9, 0.8], [3, 2], 0.05)
+        for arr in (*cfg.runs, cfg.sizes, cfg.probs):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_from_runs_drops_empty_runs_and_rejects_negative(self):
+        cfg = ModelConfig.from_runs(20, [4, 3, 4], [0.9, 0.8, 0.9], [2, 0, 1], 0.05)
+        assert cfg == ModelConfig(20, [(4, 0.9)] * 3, 0.05)
+        with pytest.raises(ConfigError):
+            ModelConfig.from_runs(20, [4], [0.9], [-1], 0.05)
+        with pytest.raises(ConfigError):
+            ModelConfig.from_runs(20, [4], [0.9], [0], 0.05)
+        with pytest.raises(ConfigError):
+            ModelConfig.from_runs(20, [4], [0.9], [1.5], 0.05)
+        with pytest.raises(ConfigError):
+            ModelConfig.from_runs(20, [4], [0.9], [6], 0.05)
+
+    def test_collapsed_keeps_runs(self):
+        cfg = ModelConfig.from_runs(30, [4, 3], [0.9, 0.8], [3, 2], 0.05, gamma=0.5)
+        col = cfg.collapsed()
+        assert col.runs[2].tolist() == [3, 2]
+        assert col.probs.tolist() == (0.5 * cfg.probs).tolist()
+
+    def test_stats_expand_per_cluster(self):
+        cfg = example_config(5, 10**4)
+        st = derived_stats(cfg)
+        sizes = cfg.sizes.astype(float)
+        assert np.array_equal(st.rho, sizes * (cfg.probs - cfg.q))
+        assert np.array_equal(st.sigma_sq, sizes * cfg.probs * (1.0 - cfg.probs))
+        assert st.rho_min == float(st.rho.min()) and st.n_min == int(cfg.sizes.min())
+
+    @pytest.mark.parametrize("clusters", [
+        [(5, 0.9), (5, 0.9)],
+        [(5, 0.9), (5, 0.9), (3, 0.5)],
+        [(3, 0.5), (5, 0.9), (4, 0.8)],
+        [(6, 0.9), (3, 0.5), (3, 0.5), (3, 0.5)],
+        [(3, 0.5), (6, 0.9), (3, 0.5)],
+    ])
+    def test_cross_pair_peak_matches_per_cluster_pairs(self, clusters):
+        cfg = ModelConfig(30, clusters, 0.05)
+        b = [(s - 1) * p - s * 0.05 for s, p in clusters]
+        want = max(b[k] + b[l] for k in range(len(b)) for l in range(len(b)) if k != l)
+        assert cross_pair_peak(cfg) == want
+
+    def test_far_beyond_memory_per_cluster(self):
+        # 10^12 clusters of size 2 would need terabytes one by one.
+        cfg = ModelConfig.from_runs(3 * 10**12, [2, 1000], [0.9, 0.5],
+                                    [10**12, 1], 1e-9)
+        assert cfg.r == 10**12 + 1
+        assert cfg.n_covered == 2 * 10**12 + 1000
+        assert "<1000000000001 clusters, sizes 2..1000>" in repr(cfg)
+        st = derived_stats(cfg)
+        assert st.n_min == 2 and st.n_max == 1000
 
 
 class TestPartition:

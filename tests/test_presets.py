@@ -10,7 +10,9 @@ from hsbmlab import (
     EXAMPLE_IDS,
     example6_reference_constants,
     example_config,
+    run_table1,
 )
+from hsbmlab.regimes import REGIMES
 
 REL = 1e-12
 
@@ -211,3 +213,22 @@ class TestCommon:
             assert cfg.n == n
             assert cfg.n0 == 0
             assert cfg.q < float(cfg.probs.min())
+
+
+class TestLargeN:
+    def test_family5_at_1e12(self):
+        # About 3.6e10 clusters: a per-cluster list would not fit in memory.
+        n = 10**12
+        cfg = example_config(5, n)
+        log_n = math.log(n)
+        s_big = round(math.sqrt(n * log_n))
+        assert cfg.r == round((n - s_big) / log_n) + 1
+        assert cfg.n_covered == n
+        assert len(cfg.runs[0]) <= 3
+
+    def test_table1_reaches_1e12(self):
+        rows = run_table1((10**9, 10**12), example_ids=(5,))
+        assert [row["n"] for row in rows] == [10**9, 10**12]
+        for row in rows:
+            assert row["feasible"] and row["regime"] in REGIMES
+            assert math.isfinite(row["search_margin"])

@@ -8,6 +8,7 @@ inequalities.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from hsbmlab import (
     check_impossible,
     check_simple,
     classify,
+    example6_reference_constants,
     example_config,
+    run_table1,
 )
 from hsbmlab.regimes import CHECK_ORDER, csv_header, csv_row
 
@@ -87,6 +90,19 @@ class TestEasyClusterwise:
         assert close(sig.lhs, 3.5**2)
         assert close(sig.rhs, 2.4 * math.log(10))
         assert "cluster 2 of 2" in sig.note
+
+    def test_binding_cluster_counts_clusters_not_runs(self):
+        # Runs (10, 0.9) x3, (5, 0.5) x2, (10, 0.9): the binding cluster is
+        # the first cluster of the second run, cluster 4 of 6.
+        clusters = [(10, 0.9)] * 3 + [(5, 0.5)] * 2 + [(10, 0.9)]
+        cfg = ModelConfig(60, clusters, 0.05)
+        scores = [(s * (p - 0.05)) ** 2 / (s * p * (1 - p) * math.log(s))
+                  for s, p in clusters]
+        assert scores.index(min(scores)) == 3
+        sig = check_easy_clusterwise(cfg).report("cluster_signal")
+        assert sig.note == "binding cluster 4 of 6"
+        assert close(sig.lhs, (5 * 0.45) ** 2)
+        assert close(sig.rhs, 5 * 0.25 * math.log(5))
 
     def test_degenerate_variance_scores_infinite(self):
         cfg = ModelConfig(10, [(5, 1.0)], 0.3)
@@ -390,3 +406,52 @@ class TestEmission:
         for col, val in zip(header, row):
             if col.endswith(".satisfied") or col == "contradiction":
                 assert val in ("true", "false"), (col, val)
+
+
+# -- frozen outputs -----------------------------------------------------------
+
+# Recorded from the per-cluster implementation, before clusters were stored
+# as runs: run_table1 over the six presets on GRID, and classify on each of
+# those configs.  Labels, flags, notes, cluster counts and covered-node counts
+# must match exactly; every float to FROZEN_REL, since a sum over clusters
+# now weights each run by its count and may move by an ulp.
+FROZEN = json.loads((Path(__file__).parent / "data" / "frozen_regimes.json").read_text())
+GRID = (10**4, 10**5, 10**6, 10**7, 10**8)
+FROZEN_REL = 1e-12
+
+
+def assert_frozen(got, want, where=""):
+    if isinstance(want, dict):
+        assert set(got) == set(want), where
+        for key in want:
+            assert_frozen(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_frozen(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert (math.isnan(got) and math.isnan(want)) or got == want \
+            or math.isclose(got, want, rel_tol=FROZEN_REL, abs_tol=0.0), (where, got, want)
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
+
+
+class TestFrozenOutputs:
+    def test_table1(self):
+        assert_frozen(run_table1(GRID), FROZEN["table1"])
+
+    @pytest.mark.parametrize("key", sorted(FROZEN["classify"]))
+    def test_classify(self, key):
+        ex, n = (int(v) for v in key.split("@"))
+        cfg = example_config(ex, n, example6_reference_constants(n) if ex == 6 else None)
+        report = classify(cfg)
+        got = {
+            "checks": {name: chk.to_dict() for name, chk in report.checks.items()},
+            "contradiction": report.contradiction,
+            "n_covered": cfg.n_covered,
+            "params": report.params,
+            "r": cfg.r,
+            "regime": report.regime,
+        }
+        assert_frozen(got, FROZEN["classify"][key], key)
