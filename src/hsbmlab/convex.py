@@ -2,24 +2,27 @@
 
 The relaxation maximizes <A + I, Y> over the spectrahedron-like body
 
-    { Y symmetric : ||Y||_* <= n,  sum(Y) = sum_k n_k^2,  0 <= Y <= 1 }
+    { Y symmetric : ||Y||_* <= sum_k n_k,  sum(Y) = sum_k n_k^2,  0 <= Y <= 1 }
 
 whose vertices at the planted parameters are clustering matrices (block
 identity on each cluster, zero elsewhere, including zero rows for isolated
-nodes).  The sum constraint counts the diagonal ones of a clustering
-matrix, so the objective counts them too: with A alone (A_ii = 0) the
-diagonal budget would be free to move onto off-diagonal entries and buy
-objective, turning the optimum fractional.  On every clustering matrix Y_P
-with the configured sizes, <A + I, Y_P> = <A, Y_P> + sum_k n_k, so the
-identity shifts the combinatorial problem by a constant and only tightens
-the relaxation.
+nodes), each of nuclear norm exactly sum_k n_k.  The sum constraint counts
+the diagonal ones of a clustering matrix, so the objective counts them
+too: with A alone (A_ii = 0) the diagonal budget would be free to move onto
+off-diagonal entries and buy objective, turning the optimum fractional.
+On every clustering matrix Y_P with the configured sizes,
+<A + I, Y_P> = <A, Y_P> + sum_k n_k, so the identity shifts the
+combinatorial problem by a constant and only tightens the relaxation.
 
 It is solved by Douglas-Rachford splitting between the nuclear-norm ball
 (spectral projection) and the box-with-sum polytope (entrywise clamp at a
 bisected shift), with the linear objective folded into the second proximal
-step.  The candidate iterate is then rounded entrywise and validated: every
-connected component of the thresholded matrix must be a clique, otherwise a
-``RoundingFailure`` is returned rather than a partition.
+step.  With an integer objective matrix the iteration stops as soon as
+weak duality proves that the rounded iterate is a best clustering matrix in
+the body (see ``solve_convex``).  The candidate iterate is then rounded
+entrywise and validated: every connected component of the thresholded
+matrix must be a clique, otherwise a ``RoundingFailure`` is returned rather
+than a partition.
 """
 
 from __future__ import annotations
@@ -30,9 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import Adjacency, as_matrix
-from .model import ModelConfig, Partition, clique_components
+from .model import ModelConfig, Partition, clique_components, clustering_matrix
 
 DEFAULT_ROUNDING_THRESHOLD = 0.5
+# A certificate needs bound - <M, Y_P> < 1 - CERTIFICATE_SLACK; the slack
+# keeps float error in the bound (relative 1e-12 or less) from certifying.
+CERTIFICATE_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,13 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class SolverResult:
-    """Final feasible iterate of the splitting method plus diagnostics."""
+    """Final feasible iterate of the splitting method plus diagnostics.
+
+    gap is the last computed dual bound minus <M, Y_P>, Y_P the clustering
+    matrix of the rounded iterate; inf when no iterate rounded to a
+    clustering matrix in the body, or when M or sum_target is not an
+    integer.
+    """
 
     Y: np.ndarray
     iterations: int
@@ -65,6 +77,7 @@ class SolverResult:
     nuclear_residual: float
     sum_residual: float
     objective: float
+    gap: float = math.inf
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -119,34 +132,97 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
+def dual_bound(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, step: float,
+               sum_target: int) -> float:
+    """Weak-duality upper bound on max <M, Y> over the relaxation body, from
+    the iterate Z and its nuclear-ball projection Y.
+
+    For any symmetric U, <M, Y'> = <U, Y'> + <M - U, Y'> is at most
+    radius * ||U||_op plus the sum of the sum_target largest entries of
+    M - U.  With U = (Z - Y) / step, the normal-cone element of the
+    projection, ||Z - Y||_op is the spectral shrink tau and
+    <Z - Y, Y> = tau * radius (both 0 when the projection is inactive), so
+    the first term costs an inner product rather than an eigensolve.
+    """
+    U = (Z - Y) / step
+    flat = (M - U).ravel()
+    cut = flat.size - sum_target
+    top = float(np.partition(flat, cut)[cut:].sum()) if sum_target else 0.0
+    return float(np.tensordot(U, Y)) + top
+
+
+def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
+             nuclear_radius: float, sum_target: int, opts: SolverOptions):
+    """Round W; if it gives a clustering matrix Y_P in the body, return
+    (Y_P, <M, Y_P>, dual bound - <M, Y_P>), else None."""
+    link = W > opts.rounding_threshold
+    np.fill_diagonal(link, False)
+    degrees = link.sum(axis=1)
+    linked = degrees[degrees > 0]
+    # If W rounds to cliques, the linked nodes are the clustered ones and
+    # each has degree |C| - 1, so these are sum |C|^2 and sum |C|.  Testing
+    # the body here spares most iterates the rounding.
+    if int((linked + 1).sum()) != sum_target or linked.size > nuclear_radius:
+        return None
+    rounded = round_solution(W, opts.rounding_threshold)
+    if isinstance(rounded, RoundingFailure):
+        return None
+    Y_P = clustering_matrix(rounded).astype(float)
+    value = float(np.tensordot(M, Y_P))
+    return Y_P, value, dual_bound(M, Z, Y, opts.step, sum_target) - value
+
+
 def solve_convex(
     A: Adjacency | np.ndarray,
     nuclear_radius: float,
     sum_target: float,
     options: SolverOptions | None = None,
 ) -> SolverResult:
-    """Douglas-Rachford iteration for max <A, Y> over the relaxation body.
+    """Douglas-Rachford iteration for max <M, Y> over the relaxation body,
+    M the given matrix.
 
     Alternates the spectral projection (nuclear ball) and the shifted clamp
     projection (box + sum), with the linear objective absorbed into the
-    second step.  Convergence requires both a small relative change between
-    the two half-steps and near-feasibility of the box-feasible candidate
-    with respect to the nuclear constraint.
+    second step.  It stops on whichever comes first:
+
+    - a certificate (only when M is integer-valued and sum_target an
+      integer): the box-feasible iterate W rounds to a clustering matrix
+      Y_P in the body (sizes with sum of squares sum_target and sum at most
+      the radius), and the dual bound (``dual_bound``) exceeds <M, Y_P> by
+      less than 1 - CERTIFICATE_SLACK.  <M, Y> is an integer on every
+      clustering matrix, so none in the body scores more than Y_P: Y_P is a
+      maximum over them (not necessarily the only one, and the relaxation
+      itself may still be fractional).  The result is Y = Y_P with
+      objective <M, Y_P>, converged, and its gap;
+    - the change test: a small relative change between the two half-steps,
+      then converged only if the box-feasible iterate is also nearly
+      inside the nuclear ball;
+    - max_iter, unconverged.
     """
     opts = options or SolverOptions()
     a = as_matrix(A).astype(float)
+    certifiable = float(sum_target).is_integer() and bool(np.all(a == np.round(a)))
     Z = project_box_sum(a, sum_target)
     Z = (Z + Z.T) / 2.0
     W = Z
     change = math.inf
+    gap = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         Y = project_nuclear_ball(Z, nuclear_radius)
         W = project_box_sum(2.0 * Y - Z + opts.step * a, sum_target)
         W = (W + W.T) / 2.0
         diff = W - Y
-        Z = Z + diff
         change = float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(W)))
+        if certifiable:
+            found = _certify(a, Z, Y, W, nuclear_radius, int(sum_target), opts)
+            if found is not None:
+                Y_P, value, gap = found
+                if gap < 1.0 - CERTIFICATE_SLACK:
+                    return SolverResult(Y=Y_P, iterations=iterations, converged=True,
+                                        change=change, nuclear_residual=0.0,
+                                        sum_residual=0.0, objective=value, gap=gap)
+        Z = Z + diff
         if change <= opts.tol_change:
             break
     nuc_res = max(0.0, nuclear_norm(W) - nuclear_radius) / nuclear_radius
@@ -159,6 +235,7 @@ def solve_convex(
         nuclear_residual=nuc_res,
         sum_residual=float(abs(W.sum() - sum_target)),
         objective=float(np.tensordot(a, W)),
+        gap=gap,
     )
 
 
@@ -215,22 +292,25 @@ def recover_convex(
     options: SolverOptions | None = None,
 ) -> ConvexRecovery:
     """Solve the relaxation max <A + I, Y> at the configuration's nuclear
-    radius n and sum target sum_k n_k^2, then round.
+    radius sum_k n_k and sum target sum_k n_k^2, then round.
 
     The identity charges the diagonal ones that the sum target counts (see
     the module docstring); the reported ``solver.objective`` is therefore
     <A + I, Y>, which on a clustering matrix is objective(A, P) + sum_k n_k.
+    The radius is the nuclear norm of every clustering matrix with the
+    configured sizes, isolated nodes adding nothing, so the body is the
+    tightest nuclear ball that still contains them all.
     """
     opts = options or SolverOptions()
     sum_target = float(sum(s * s for s in config.sizes))
     objective_matrix = as_matrix(A).astype(float) + np.eye(config.n)
-    result = solve_convex(objective_matrix, float(config.n), sum_target, opts)
+    result = solve_convex(objective_matrix, float(config.n_covered), sum_target, opts)
     if not result.converged:
         failure = RoundingFailure(
             "nonconvergence",
             f"no convergence in {result.iterations} iterations "
             f"(change {result.change:.3e}, nuclear residual "
-            f"{result.nuclear_residual:.3e})",
+            f"{result.nuclear_residual:.3e}, gap {result.gap:.3e})",
         )
         return ConvexRecovery(partition=None, failure=failure, solver=result)
     rounded = round_solution(result.Y, opts.rounding_threshold)

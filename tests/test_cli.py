@@ -158,9 +158,15 @@ class TestRecover:
         assert "not_clique" in captured.err
         assert captured.out == ""
 
-    def test_nonconvergence_exits_3(self, small_config, small_graph, capsys):
+    def test_nonconvergence_exits_3(self, small_config, tmp_path, capsys):
+        # Seed 36 has a fractional relaxation optimum, so no certificate
+        # can stop the solver within one iteration.
+        graph = tmp_path / "seed36.graph"
+        main(["generate", "--config", small_config, "--seed", "36",
+              "--out", str(graph)])
+        capsys.readouterr()
         assert main(["recover", "--config", small_config,
-                     "--adjacency", small_graph, "--max-iter", "1"]) == 3
+                     "--adjacency", str(graph), "--max-iter", "1"]) == 3
         assert "nonconvergence" in capsys.readouterr().err
 
     def test_counting_success(self, small_config, small_graph, capsys):
@@ -329,6 +335,8 @@ class TestMonteCarlo:
             "config": SMALL,
             "algorithms": ["convex"],
             "trials": 2,
+            # Seeds 35 and 36: neither can be certified in one iteration.
+            "base_seed": 35,
             "solver": {"max_iter": 1},
         }))
         assert main(["montecarlo", "--spec", str(path)]) == 0

@@ -3,13 +3,18 @@
 The two projection operators are checked against independent oracles built
 on different algorithms (dual bisection for the nuclear ball, breakpoint
 scan + KKT certificates for the box-with-sum polytope), then the end-to-end
-pipeline is pinned with frozen success counts on a fixed seed range.
+pipeline is pinned with frozen success counts on a fixed seed range.  The
+duality-gap stop is checked against an eigensolver-based bound and the
+exhaustive oracle, and its iteration counts are pinned.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsbmlab import (
     ModelConfig,
@@ -22,9 +27,11 @@ from hsbmlab import (
     recover_convex,
     round_solution,
     sample_adjacency,
+    sample_observed,
     solve_convex,
 )
-from hsbmlab.convex import nuclear_norm
+from hsbmlab import convex
+from hsbmlab.convex import dual_bound, nuclear_norm
 from hsbmlab.exhaustive import objective, solve_exhaustive
 
 
@@ -267,8 +274,10 @@ class TestSolveConvex:
             assert res.objective >= planted_obj - 0.5
 
     def test_max_iter_reached_flags_nonconvergence(self):
+        # Seed 36 has a fractional relaxation optimum: no certificate can
+        # stop the solver within one iteration.
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
-        A = sample_adjacency(cfg, cfg.planted_partition(), seed=0)
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=36)
         res = solve_convex(A, 10.0, 50.0, SolverOptions(max_iter=1))
         assert res.iterations == 1
         assert not res.converged
@@ -326,7 +335,7 @@ class TestRecoverConvex:
         assert partitions_equal(rec.partition, self.CFG.planted_partition())
 
     def test_nonconvergence_path(self):
-        A = sample_adjacency(self.CFG, self.CFG.planted_partition(), seed=0)
+        A = sample_adjacency(self.CFG, self.CFG.planted_partition(), seed=36)
         rec = recover_convex(A, self.CFG, SolverOptions(max_iter=1))
         assert not rec.succeeded
         assert rec.partition is None
@@ -353,3 +362,119 @@ class TestRecoverConvex:
                 assert rec.failure.kind in ("not_clique", "nonconvergence")
         assert successes == 30
         assert failing == []
+
+
+class TestIsolatedNodes:
+    # Frozen at the nuclear radius sum_k n_k (n_covered), draws 0-39.  With
+    # radius n the same draws gave 7/40 and 1/40.
+    @pytest.mark.parametrize("cfg, successes", [
+        (ModelConfig(12, [(5, 0.9), (5, 0.9)], 0.05), 35),
+        (ModelConfig(13, [(4, 0.9), (4, 0.9)], 0.05), 33),
+    ])
+    def test_oracle_agreement_and_frozen_successes(self, cfg, successes):
+        found = 0
+        for seed in range(40):
+            A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
+            rec = recover_convex(A, cfg)
+            if rec.succeeded:
+                found += 1
+                best = solve_exhaustive(A, cfg)
+                assert objective(A, rec.partition) == best.objective
+        assert found == successes
+
+
+def top_sum(M, s):
+    return float(np.sort(M.ravel())[::-1][:s].sum())
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(3, 10))
+    r = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, max(1, n // r))) for _ in range(r)]
+    q = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    p = draw(st.sampled_from([0.5, 0.7, 0.9]))
+    return ModelConfig(n, [(size, p) for size in sizes], q), draw(st.integers(0, 10**6))
+
+
+class TestCertificate:
+    @given(small_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_dual_bound_dominates_oracle_at_every_iteration(self, case):
+        cfg, seed = case
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
+        M = A.matrix.astype(float) + np.eye(cfg.n)
+        radius = cfg.n_covered
+        s = int(sum(size * size for size in cfg.sizes))
+        best = solve_exhaustive(A, cfg).objective + radius
+        pairs = []
+
+        def recording(Z, r):
+            Y = project_nuclear_ball(Z, r)
+            pairs.append((Z.copy(), Y))
+            return Y
+
+        with mock.patch.object(convex, "project_nuclear_ball", recording):
+            rec = recover_convex(A, cfg, SolverOptions(max_iter=200))
+        assert pairs
+        for Z, Y in pairs:
+            eig_tau = float(np.abs(np.linalg.eigvalsh(Z - Y)).max())
+            tau = float(np.tensordot(Z - Y, Y)) / radius
+            assert math.isclose(tau, eig_tau, rel_tol=1e-9, abs_tol=1e-12)
+            eig_bound = radius * eig_tau + top_sum(M - (Z - Y), s)
+            assert eig_bound >= best - 1e-9
+            assert math.isclose(dual_bound(M, Z, Y, 1.0, s), eig_bound,
+                                rel_tol=1e-9, abs_tol=1e-9)
+        if rec.succeeded and rec.solver.gap < 1.0:
+            assert rec.solver.objective == best
+            assert objective(A, rec.partition) + radius == best
+
+    SMALL10 = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
+    CRITERION10 = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05, gamma=0.6)
+
+    # seed -> (iterations, <A + I, Y_P>), every one the planted partition.
+    FROZEN_SMALL10 = {0: (1, 46), 1: (2, 48), 2: (3, 42), 3: (3, 48), 4: (2, 50),
+                      5: (4, 46), 6: (1, 50), 7: (5, 48), 8: (2, 48), 9: (3, 46),
+                      79: (4, 44)}
+    FROZEN_CRITERION10 = {0: (10, 6130), 1: (12, 6156), 2: (14, 6138),
+                          3: (19, 6130), 4: (10, 6232), 5: (12, 6136),
+                          6: (14, 6094)}
+
+    def assert_certified(self, A, cfg, planted, expected):
+        rec = recover_convex(A, cfg)
+        iterations, value = expected
+        solver = rec.solver
+        assert (solver.iterations, solver.objective) == (iterations, value)
+        assert solver.converged and solver.gap < 1.0
+        assert solver.objective == objective(A, planted) + cfg.n_covered
+        assert partitions_equal(rec.partition, planted)
+        assert set(np.unique(solver.Y)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_SMALL10))
+    def test_frozen_small10(self, seed):
+        cfg = self.SMALL10
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
+        self.assert_certified(A, cfg, cfg.planted_partition(), self.FROZEN_SMALL10[seed])
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_CRITERION10))
+    def test_frozen_criterion10(self, seed):
+        cfg = self.CRITERION10
+        planted = cfg.planted_partition()
+        A = sample_observed(cfg, planted, seed).to_adjacency(unobserved_as=0)
+        self.assert_certified(A, cfg.collapsed(), planted, self.FROZEN_CRITERION10[seed])
+
+    def test_non_integer_matrix_never_certifies(self):
+        # A constant shift adds 0.25 * sum_target to every point of the body,
+        # so it keeps the maximizers but makes the matrix non-integer.
+        cfg = self.SMALL10
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=0)
+        M = A.matrix + np.eye(cfg.n)
+        certified = solve_convex(M, 10.0, 50.0)
+        assert certified.iterations == 1 and certified.gap < 1.0
+        shifted = solve_convex(M + 0.25, 10.0, 50.0)
+        assert shifted.gap == math.inf
+        assert shifted.iterations > 1
+        assert shifted.change <= SolverOptions().tol_change
+        capped = solve_convex(M + 0.25, 10.0, 50.0, SolverOptions(max_iter=3))
+        assert capped.iterations == 3 and not capped.converged
+        assert capped.gap == math.inf
