@@ -25,7 +25,6 @@ from .counting import (
     CountingRecovery,
     isolated_threshold,
     pair_threshold,
-    pair_threshold_mean_midpoint,
     recover_counting,
 )
 from .exhaustive import (
@@ -34,7 +33,6 @@ from .exhaustive import (
     LocalSearchResult,
     enumerate_partitions,
     local_search,
-    log_likelihood,
     objective,
     partition_count,
     solve_exhaustive,

@@ -55,27 +55,28 @@ def _parse_constant(text: str) -> tuple[str, float]:
     return name, float(value)
 
 
-def _add_common(parser: argparse.ArgumentParser, config_source: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--constant-C", type=float, default=1.0, dest="constant_c",
-                        help="proportionality constant for the scaled conditions")
-    parser.add_argument("--eta", type=float, default=2.0,
-                        help="exponent margin of the search-recovery condition")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="override the observation rate")
-    parser.add_argument("--out", type=str, default=None, help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output file format")
-    if config_source:
-        parser.add_argument("--config", type=str, default=None,
-                            help="JSON model configuration file")
-        parser.add_argument("--example", type=int, default=None,
-                            choices=EXAMPLE_IDS, help="preset family id")
-        parser.add_argument("--n", type=int, default=None,
-                            help="number of nodes for --example")
-        parser.add_argument("--constant", action="append", default=[],
-                            type=_parse_constant, metavar="NAME=VALUE",
-                            help="preset constant override (repeatable)")
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named flags, each read by several subcommands, in usage order."""
+    def add(flag, **kwargs):
+        if flag in flags:
+            parser.add_argument(flag, **kwargs)
+    add("--seed", type=int, default=0, help="base random seed")
+    add("--constant-C", type=float, default=1.0, dest="constant_c",
+        help="proportionality constant for the scaled conditions")
+    add("--eta", type=float, default=2.0,
+        help="exponent margin of the search-recovery condition")
+    add("--gamma", type=float, default=None, help="override the observation rate")
+    add("--out", type=str, default=None, help="output file path")
+    add("--format", choices=("csv", "json"), default="csv", help="output file format")
+    add("--config", type=str, default=None, help="JSON model configuration file")
+    add("--example", type=int, default=None, choices=EXAMPLE_IDS,
+        help="preset family id")
+    add("--n", type=int, default=None, help="number of nodes for --example")
+    add("--constant", action="append", default=[], type=_parse_constant,
+        metavar="NAME=VALUE", help="preset constant override (repeatable)")
+
+
+CONFIG_SOURCE = ("--gamma", "--config", "--example", "--n", "--constant")
 
 
 def load_config_file(path: str) -> ModelConfig:
@@ -244,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a graph and write it to a file")
-    _add_common(p)
+    _add_flags(p, "--seed", "--out", *CONFIG_SOURCE)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("classify", help="evaluate recoverability conditions")
-    _add_common(p)
+    _add_flags(p, "--constant-C", "--eta", "--out", "--format", *CONFIG_SOURCE)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("recover", help="recover the partition from a graph file")
-    _add_common(p)
+    _add_flags(p, "--seed", "--out", "--format", *CONFIG_SOURCE)
     p.add_argument("--adjacency", type=str, required=True, help="graph file")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="convex")
     p.add_argument("--max-iter", type=int, default=SolverOptions().max_iter)
@@ -265,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-spectral",
                        help="sample centered adjacencies and report "
                             "norm-to-bound ratios")
-    _add_common(p)
+    _add_flags(p, "--seed", "--out", "--format", *CONFIG_SOURCE)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=cmd_bench_spectral)
 
     p = sub.add_parser("montecarlo", help="run a Monte Carlo experiment spec")
-    _add_common(p, config_source=False)
+    _add_flags(p, "--seed", "--gamma", "--out", "--format")
     p.add_argument("--spec", type=str, required=True, help="JSON experiment spec")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timings", action="store_true",
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("table1", help="classification margins across presets and n")
-    _add_common(p, config_source=False)
+    _add_flags(p, "--constant-C", "--eta", "--out", "--format")
     p.add_argument("--n-grid", type=str, default="1e4,1e5,1e6,1e7",
                    help="comma-separated n values")
     p.add_argument("--examples", type=str, default="1,2,3,4,5,6",

@@ -21,8 +21,9 @@ step.  With an integer objective matrix the iteration stops as soon as
 weak duality proves that the rounded iterate is a best clustering matrix in
 the body (see ``solve_convex``).  The candidate iterate is then rounded
 entrywise and validated: every connected component of the thresholded
-matrix must be a clique, otherwise a ``RoundingFailure`` is returned rather
-than a partition.
+matrix must be a clique, and ``recover_convex`` also requires the cluster
+sizes to be the configured ones; otherwise a ``RoundingFailure`` is returned
+rather than a partition.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import Adjacency, as_matrix
-from .model import ModelConfig, Partition, clique_components, clustering_matrix
+from .model import (ModelConfig, Partition, clique_components, clustering_matrix,
+                    size_mismatch)
 
 DEFAULT_ROUNDING_THRESHOLD = 0.5
+TOL_CHANGE = 1e-7
+TOL_FEASIBILITY = 1e-6
+BOX_SUM_BISECTION_STEPS = 80
 # A certificate needs bound - <M, Y_P> < 1 - CERTIFICATE_SLACK; the slack
 # keeps float error in the bound (relative 1e-12 or less) from certifying.
 CERTIFICATE_SLACK = 1e-3
@@ -46,8 +51,6 @@ class SolverOptions:
     """Knobs for the splitting iteration and the rounding step."""
 
     max_iter: int = 2000
-    tol_feasibility: float = 1e-6
-    tol_change: float = 1e-7
     step: float = 1.0
     rounding_threshold: float = DEFAULT_ROUNDING_THRESHOLD
 
@@ -107,7 +110,7 @@ def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def project_box_sum(M: np.ndarray, total: float, iters: int = 80) -> np.ndarray:
+def project_box_sum(M: np.ndarray, total: float) -> np.ndarray:
     """Frobenius projection onto {0 <= Y <= 1 entrywise, sum(Y) = total}.
 
     The projection is clip(M - lam, 0, 1) for the shift lam at which the
@@ -119,7 +122,7 @@ def project_box_sum(M: np.ndarray, total: float, iters: int = 80) -> np.ndarray:
         raise ValueError(f"target sum {total} outside [0, {size}]")
     lo = float(M.min()) - 1.0
     hi = float(M.max())
-    for _ in range(iters):
+    for _ in range(BOX_SUM_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if np.clip(M - mid, 0.0, 1.0).sum() >= total:
             lo = mid
@@ -194,9 +197,9 @@ def solve_convex(
       maximum over them (not necessarily the only one, and the relaxation
       itself may still be fractional).  The result is Y = Y_P with
       objective <M, Y_P>, converged, and its gap;
-    - the change test: a small relative change between the two half-steps,
-      then converged only if the box-feasible iterate is also nearly
-      inside the nuclear ball;
+    - the change test: a relative change of at most TOL_CHANGE between the
+      two half-steps, then converged only if the box-feasible iterate is
+      also within relative TOL_FEASIBILITY of the nuclear ball;
     - max_iter, unconverged.
     """
     opts = options or SolverOptions()
@@ -223,10 +226,10 @@ def solve_convex(
                                         change=change, nuclear_residual=0.0,
                                         sum_residual=0.0, objective=value, gap=gap)
         Z = Z + diff
-        if change <= opts.tol_change:
+        if change <= TOL_CHANGE:
             break
     nuc_res = max(0.0, nuclear_norm(W) - nuclear_radius) / nuclear_radius
-    converged = change <= opts.tol_change and nuc_res <= opts.tol_feasibility
+    converged = change <= TOL_CHANGE and nuc_res <= TOL_FEASIBILITY
     return SolverResult(
         Y=W,
         iterations=iterations,
@@ -243,9 +246,10 @@ def solve_convex(
 class RoundingFailure:
     """Why a solver iterate could not be turned into a partition.
 
-    kind is "not_clique" (a thresholded component is not fully connected)
-    or "nonconvergence" (the splitting iteration did not meet its
-    tolerances, so the iterate is not trusted).
+    kind is "not_clique" (a thresholded component is not fully connected),
+    "size_mismatch" (the components are cliques, but their sizes are not
+    the configured ones) or "nonconvergence" (the splitting iteration did
+    not meet its tolerances, so the iterate is not trusted).
     """
 
     kind: str
@@ -292,7 +296,9 @@ def recover_convex(
     options: SolverOptions | None = None,
 ) -> ConvexRecovery:
     """Solve the relaxation max <A + I, Y> at the configuration's nuclear
-    radius sum_k n_k and sum target sum_k n_k^2, then round.
+    radius sum_k n_k and sum target sum_k n_k^2, then round.  A partition
+    without the configured cluster sizes is a "size_mismatch" failure (so
+    is every partition of a config with a cluster of size 1).
 
     The identity charges the diagonal ones that the sum target counts (see
     the module docstring); the reported ``solver.objective`` is therefore
@@ -316,4 +322,8 @@ def recover_convex(
     rounded = round_solution(result.Y, opts.rounding_threshold)
     if isinstance(rounded, RoundingFailure):
         return ConvexRecovery(partition=None, failure=rounded, solver=result)
+    mismatch = size_mismatch(rounded, config)
+    if mismatch:
+        failure = RoundingFailure("size_mismatch", mismatch)
+        return ConvexRecovery(partition=None, failure=failure, solver=result)
     return ConvexRecovery(partition=rounded, failure=None, solver=result)

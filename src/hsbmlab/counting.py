@@ -23,6 +23,7 @@ from .model import (
     Partition,
     clique_components,
     cross_pair_peak,
+    size_mismatch,
 )
 
 
@@ -51,22 +52,6 @@ def pair_threshold(config: ModelConfig) -> float:
     intra_floor = float(np.min((sizes - 2.0) * config.probs**2 - sizes * q**2))
     cross = q * cross_pair_peak(config) if config.r >= 2 else 0.0
     return n * q**2 + (intra_floor + cross) / 2.0
-
-
-def pair_threshold_mean_midpoint(config: ModelConfig) -> float:
-    """The same cutoff expressed as the midpoint between the smallest
-    same-cluster and the largest cross-cluster expected common-neighbor
-    counts; agrees with pair_threshold identically.  Requires r >= 2."""
-    if config.r < 2:
-        raise ConfigError("midpoint form needs at least two clusters")
-    n = config.n
-    q = config.q
-    sizes = config.sizes.astype(float)
-    intra_mean_floor = float(
-        np.min((sizes - 2.0) * config.probs**2 + (n - sizes) * q**2)
-    )
-    cross_mean_peak = q * cross_pair_peak(config) + n * q**2
-    return (intra_mean_floor + cross_mean_peak) / 2.0
 
 
 @dataclass(frozen=True)
@@ -131,16 +116,9 @@ def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Counting
             t_iso,
             t_link,
         )
-    found_sizes = sorted(np.bincount(labels)[1:].tolist())
-    want = sorted(config.sizes.tolist())
-    if found_sizes != want:
-        return CountingRecovery(
-            None,
-            CountingFailure(
-                "size_mismatch",
-                f"component sizes {found_sizes} != configured {want}",
-            ),
-            t_iso,
-            t_link,
-        )
-    return CountingRecovery(Partition(labels), None, t_iso, t_link)
+    partition = Partition(labels)
+    mismatch = size_mismatch(partition, config)
+    if mismatch:
+        return CountingRecovery(None, CountingFailure("size_mismatch", mismatch),
+                                t_iso, t_link)
+    return CountingRecovery(partition, None, t_iso, t_link)

@@ -96,9 +96,6 @@ class Adjacency:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def edge_count(self) -> int:
-        return int(self.matrix.sum()) // 2
-
 
 def as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
     """The matrix of an Adjacency, or the array itself, uncast."""
@@ -129,12 +126,6 @@ class ObservedMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def observed_mask(self) -> np.ndarray:
-        """Boolean mask of observed off-diagonal pairs (diagonal False)."""
-        mask = self.values != UNOBSERVED
-        np.fill_diagonal(mask, False)
-        return mask
 
     def to_adjacency(self, unobserved_as: int = 0) -> Adjacency:
         """Collapse to a 0/1 adjacency, mapping unobserved pairs to 0 or 1."""

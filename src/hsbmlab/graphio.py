@@ -17,7 +17,6 @@ pure function of the matrix.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +92,7 @@ def _parse_pair(parts: list[str], n: int):
     return min(i, j), max(i, j)
 
 
-def read_adjacency(path) -> Adjacency:
-    lines = _read_lines(path)
+def _parse_adjacency(lines: list[str]) -> Adjacency:
     n, _ = _parse_header(lines)
     m = np.zeros((n, n), dtype=np.int8)
     for ln in lines[1:]:
@@ -106,8 +104,7 @@ def read_adjacency(path) -> Adjacency:
     return Adjacency(m)
 
 
-def read_observed(path) -> ObservedMatrix:
-    lines = _read_lines(path)
+def _parse_observed(lines: list[str]) -> ObservedMatrix:
     n, _ = _parse_header(lines)
     v = np.full((n, n), UNOBSERVED, dtype=np.int8)
     np.fill_diagonal(v, 0)
@@ -123,11 +120,17 @@ def read_observed(path) -> ObservedMatrix:
     return ObservedMatrix(v)
 
 
+def read_adjacency(path) -> Adjacency:
+    return _parse_adjacency(_read_lines(path))
+
+
+def read_observed(path) -> ObservedMatrix:
+    return _parse_observed(_read_lines(path))
+
+
 def read_graph(path) -> Adjacency | ObservedMatrix:
     """Auto-detect the file type from the pair-line arity."""
     lines = _read_lines(path)
     if len(lines) > 1 and len(lines[1].split()) == 3:
-        buf = io.StringIO("\n".join(lines) + "\n")
-        return read_observed(buf)
-    buf = io.StringIO("\n".join(lines) + "\n")
-    return read_adjacency(buf)
+        return _parse_observed(lines)
+    return _parse_adjacency(lines)

@@ -33,6 +33,8 @@ from .presets import EXAMPLE_IDS, example6_reference_constants, example_config
 from .regimes import classify
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
+# Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
+WILSON_Z = 1.959963984540054
 FAILURE_KINDS = ("none", "rounding", "nonconvergence", "counting", "tie")
 
 
@@ -168,8 +170,9 @@ def run_trial(spec: ExperimentSpec, algorithm: str, trial: int) -> ResultRow:
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p_hat = successes / trials

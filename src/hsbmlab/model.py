@@ -89,12 +89,6 @@ class ModelConfig:
         self._init_from_runs(n, raw_sizes, raw_probs, [1] * len(raw_sizes), q, gamma)
 
     @classmethod
-    def from_arrays(cls, n: int, sizes, probs, q: float, gamma: float = 1.0) -> "ModelConfig":
-        """Bulk constructor from parallel per-cluster size/probability arrays."""
-        return cls.from_runs(n, sizes, probs, np.ones(np.shape(sizes), dtype=np.int64),
-                             q, gamma)
-
-    @classmethod
     def from_runs(cls, n: int, sizes, probs, counts, q: float,
                   gamma: float = 1.0) -> "ModelConfig":
         """Bulk constructor from runs: ``counts[i]`` consecutive clusters of
@@ -288,11 +282,16 @@ class Partition:
         """Sorted multiset of cluster sizes (labels ignored)."""
         return tuple(sorted(self.cluster_sizes().values()))
 
-    def members(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
     def __repr__(self) -> str:
         return f"Partition({self.labels.tolist()})"
+
+
+def size_mismatch(partition: Partition, config: ModelConfig) -> str:
+    """The failure detail when the partition's cluster sizes are not the
+    configured ones, as a multiset; "" when they are."""
+    found = list(partition.size_multiset())
+    want = sorted(config.sizes.tolist())
+    return "" if found == want else f"component sizes {found} != configured {want}"
 
 
 def clique_components(link: np.ndarray, keep: np.ndarray | None = None):

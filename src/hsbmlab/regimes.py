@@ -40,8 +40,8 @@ from .model import (
     derived_stats,
 )
 
-DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0, 2.0)
-DEFAULT_O1_THRESHOLD = 0.1
+ALPHA_GRID = (0.25, 0.5, 1.0, 2.0)
+O1_THRESHOLD = 0.1
 DEFAULT_ETA = 2.0
 
 REGIMES = ("impossible", "simple", "easy", "hard", "unknown")
@@ -175,18 +175,14 @@ def _cluster_signal(config: ModelConfig, st: DerivedStats, log_factor,
     )
 
 
-def check_easy_clusterwise(
-    config: ModelConfig,
-    C: float = 1.0,
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID,
-    o1_threshold: float = DEFAULT_O1_THRESHOLD,
-) -> RegimeCheck:
+def check_easy_clusterwise(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
     """Convex-recovery conditions with per-cluster log factors.
 
     (i) rho_k^2 >= C sigma_k^2 log n_k for all k; (ii) the chi-square
     divergence of (p_min, q) dominates log(n_min)/n_min; (iii) rho_min^2
     dominates max(sigma_max^2, n q(1-q), log n); (iv) sum_k n_k^-alpha is
-    small for some alpha in the grid (vanishing-size-tail surrogate).
+    at most O1_THRESHOLD for some alpha in ALPHA_GRID (vanishing-size-tail
+    surrogate).
     """
     st = derived_stats(config)
     sizes, _, counts = config.runs
@@ -203,9 +199,9 @@ def check_easy_clusterwise(
     tail_reports = [
         ConditionReport.le(
             f"size_tail(alpha={alpha:g})", _cluster_sum(counts, sizes**-alpha),
-            o1_threshold,
+            O1_THRESHOLD,
         )
-        for alpha in alpha_grid
+        for alpha in ALPHA_GRID
     ]
     core = [rep_i, rep_ii, rep_iii]
     satisfied = all(r.satisfied for r in core) and any(r.satisfied for r in tail_reports)
@@ -403,8 +399,8 @@ class RegimeReport:
             "checks": {name: chk.to_dict() for name, chk in self.checks.items()},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 CHECK_ORDER = ("easy_clusterwise", "easy_global", "hard", "impossible", "simple")
@@ -414,13 +410,11 @@ def classify(
     config: ModelConfig,
     C: float = 1.0,
     eta: float = DEFAULT_ETA,
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID,
-    o1_threshold: float = DEFAULT_O1_THRESHOLD,
     config_id: str = "",
 ) -> RegimeReport:
     """Run all five checkers and resolve the regime label."""
     checks = {
-        "easy_clusterwise": check_easy_clusterwise(config, C, alpha_grid, o1_threshold),
+        "easy_clusterwise": check_easy_clusterwise(config, C),
         "easy_global": check_easy_global(config, C),
         "hard": check_hard(config, eta),
         "impossible": check_impossible(config),
@@ -450,8 +444,8 @@ def classify(
         params={
             "C": C,
             "eta": eta,
-            "alpha_grid": list(alpha_grid),
-            "o1_threshold": o1_threshold,
+            "alpha_grid": list(ALPHA_GRID),
+            "o1_threshold": O1_THRESHOLD,
         },
         config_id=config_id,
     )

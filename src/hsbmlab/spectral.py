@@ -26,6 +26,8 @@ from .generate import (
 )
 from .model import ModelConfig, derived_stats
 
+BENCH_REL_TOL = 1e-8
+
 
 class SpectralNormError(RuntimeError):
     """Power iteration did not stabilize; carries the best estimate."""
@@ -153,7 +155,6 @@ def concentration_experiment(
     config: ModelConfig,
     trials: int,
     seed: int,
-    rel_tol: float = 1e-8,
 ) -> ConcentrationStats:
     """Sample centered adjacencies and report spectral-norm-to-bound ratios.
 
@@ -171,7 +172,7 @@ def concentration_experiment(
     for i in range(trials):
         adj = sample_adjacency(collapsed, partition, seed + i)
         centered = adj.matrix.astype(float) - expected
-        norms[i] = spectral_norm(centered, rel_tol=rel_tol, seed=seed + i)
+        norms[i] = spectral_norm(centered, rel_tol=BENCH_REL_TOL, seed=seed + i)
     ratios = norms / bound
     return ConcentrationStats(
         trials=trials,

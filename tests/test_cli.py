@@ -19,6 +19,9 @@ from hsbmlab.harness import RESULT_COLUMNS, TABLE_COLUMNS
 SMALL = {"n": 10, "q": 0.05, "clusters": [[5, 0.9], [5, 0.9]]}
 EASY = {"n": 200, "q": 0.05, "clusters": [[100, 0.5], [100, 0.5]]}
 TIE = {"n": 4, "q": 0.998, "clusters": [[2, 0.999], [2, 0.999]]}
+# One cluster of 4 on 8 nodes: on seeds 2, 4, 5, 8, 11, 25 and 33 of 0-39
+# the convex rounding gives cliques of other sizes.
+WRONG_SIZES = {"n": 8, "q": 0.2, "clusters": [[4, 0.5]]}
 
 
 @pytest.fixture()
@@ -156,6 +159,20 @@ class TestRecover:
                      "--adjacency", str(graph)]) == 2
         captured = capsys.readouterr()
         assert "not_clique" in captured.err
+        assert captured.out == ""
+
+    def test_size_mismatch_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "wrong_sizes.json"
+        config.write_text(json.dumps(WRONG_SIZES))
+        graph = tmp_path / "seed2.graph"
+        main(["generate", "--config", str(config), "--seed", "2",
+              "--out", str(graph)])
+        capsys.readouterr()
+        assert main(["recover", "--config", str(config),
+                     "--adjacency", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("size_mismatch: component sizes [3] != "
+                                "configured [4]\n")
         assert captured.out == ""
 
     def test_nonconvergence_exits_3(self, small_config, tmp_path, capsys):
@@ -357,6 +374,21 @@ class TestMonteCarlo:
         assert "max_iters" in captured.err
         assert captured.out == ""
 
+    def test_former_solver_field_exits_2(self, tmp_path, capsys):
+        # The change-test tolerance is a constant, not a solver option.
+        path = tmp_path / "tol_spec.json"
+        path.write_text(json.dumps({
+            "config": SMALL,
+            "algorithms": ["convex"],
+            "trials": 1,
+            "solver": {"tol_change": 1e-9},
+        }))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: solver options: ")
+        assert "tol_change" in captured.err
+        assert captured.out == ""
+
     def test_zero_restarts_in_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "restarts_spec.json"
         path.write_text(json.dumps({
@@ -419,6 +451,41 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    # Each subcommand accepts only the flags its command reads.
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--constant-C", "2"),
+        ("generate", "--eta", "3"),
+        ("generate", "--format", "json"),
+        ("classify", "--seed", "1"),
+        ("recover", "--constant-C", "2"),
+        ("recover", "--eta", "3"),
+        ("bench-spectral", "--constant-C", "2"),
+        ("bench-spectral", "--eta", "3"),
+        ("montecarlo", "--constant-C", "2"),
+        ("montecarlo", "--eta", "3"),
+        ("table1", "--seed", "1"),
+        ("table1", "--gamma", "0.6"),
+    ])
+    def test_unread_flag_exits_2(self, tmp_path, small_config, small_graph,
+                                 capsys, command, flag, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"config": SMALL, "algorithms": ["counting"],
+                                    "trials": 1}))
+        argv = [command] + {
+            "generate": ["--config", small_config, "--out", str(tmp_path / "g")],
+            "classify": ["--config", small_config],
+            "recover": ["--config", small_config, "--adjacency", small_graph],
+            "bench-spectral": ["--config", small_config, "--trials", "1"],
+            "montecarlo": ["--spec", str(spec)],
+            "table1": ["--n-grid", "1e4", "--examples", "1"],
+        }[command]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(argv + [flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     @pytest.mark.skipif(shutil.which("hsbmlab") is None,
                         reason="hsbmlab console script not installed")

@@ -215,8 +215,8 @@ class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()
         assert opts.max_iter == 2000
-        assert opts.tol_feasibility == 1e-6
-        assert opts.tol_change == 1e-7
+        assert convex.TOL_FEASIBILITY == 1e-6
+        assert convex.TOL_CHANGE == 1e-7
         assert opts.step == 1.0
         assert opts.rounding_threshold == 0.5
 
@@ -340,6 +340,20 @@ class TestRecoverConvex:
         assert not rec.succeeded
         assert rec.partition is None
         assert rec.failure.kind == "nonconvergence"
+
+    # Draws whose rounding gives cliques of sizes other than the configured
+    # ones; each was reported as a success before the size check.
+    @pytest.mark.parametrize("cfg, seed", [
+        *((ModelConfig(8, [(4, 0.5)], 0.2), s) for s in (2, 4, 5, 8, 11, 25, 33)),
+        (ModelConfig(12, [(6, 0.9), (3, 0.9), (2, 0.9)], 0.05), 33),
+    ])
+    def test_wrong_sizes_fail_as_size_mismatch(self, cfg, seed):
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
+        rec = recover_convex(A, cfg)
+        assert rec.partition is None
+        assert rec.failure.kind == "size_mismatch"
+        assert rec.failure.detail.endswith(
+            f" != configured {sorted(cfg.sizes.tolist())}")
 
     def test_frozen_success_rate_and_oracle_equality(self):
         # Frozen measurement on seeds 0..29 at the default options: all 30
@@ -474,7 +488,7 @@ class TestCertificate:
         shifted = solve_convex(M + 0.25, 10.0, 50.0)
         assert shifted.gap == math.inf
         assert shifted.iterations > 1
-        assert shifted.change <= SolverOptions().tol_change
+        assert shifted.change <= convex.TOL_CHANGE
         capped = solve_convex(M + 0.25, 10.0, 50.0, SolverOptions(max_iter=3))
         assert capped.iterations == 3 and not capped.converged
         assert capped.gap == math.inf

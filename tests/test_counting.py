@@ -12,17 +12,33 @@ from hsbmlab import (
     ModelConfig,
     isolated_threshold,
     pair_threshold,
-    pair_threshold_mean_midpoint,
     partitions_equal,
     recover_counting,
     sample_adjacency,
 )
+from hsbmlab.model import cross_pair_peak
 
 REL = 1e-12
 
 
 def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+
+
+def pair_threshold_mean_midpoint(config: ModelConfig) -> float:
+    """Oracle for pair_threshold: the same cutoff expressed as the midpoint
+    between the smallest same-cluster and the largest cross-cluster
+    expected common-neighbor counts.  Requires r >= 2."""
+    if config.r < 2:
+        raise ConfigError("midpoint form needs at least two clusters")
+    n = config.n
+    q = config.q
+    sizes = config.sizes.astype(float)
+    intra_mean_floor = float(
+        np.min((sizes - 2.0) * config.probs**2 + (n - sizes) * q**2)
+    )
+    cross_mean_peak = q * cross_pair_peak(config) + n * q**2
+    return (intra_mean_floor + cross_mean_peak) / 2.0
 
 
 class TestThresholds:

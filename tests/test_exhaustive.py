@@ -15,15 +15,59 @@ from hsbmlab import (
     clustering_matrix,
     enumerate_partitions,
     local_search,
-    log_likelihood,
     objective,
     partition_count,
     partitions_equal,
     sample_adjacency,
     solve_exhaustive,
 )
+from hsbmlab.generate import Adjacency, as_matrix
 
 REL = 1e-12
+
+
+def log_likelihood(A: Adjacency | np.ndarray, partition: Partition,
+                   config: ModelConfig) -> float:
+    """Exact Bernoulli log-likelihood of the adjacency matrix under the
+    partition: within cluster k each pair is Bernoulli(p_k), every other
+    pair (cross-cluster or touching an isolated node) is Bernoulli(q).
+
+    Returns -inf when an observed pattern has probability zero (e.g. a
+    missing edge inside a p_k = 1 cluster).  Requires 0 < q < 1.
+    """
+    if not 0.0 < config.q < 1.0:
+        raise ValueError(f"log-likelihood needs q in (0, 1), got {config.q}")
+    m = as_matrix(A)
+    n = m.shape[0]
+    labels = partition.labels
+    pair_total = n * (n - 1) // 2
+    edge_total = int(m.sum()) // 2
+
+    def term(edges: int, pairs: int, p: float) -> float:
+        out = 0.0
+        if edges:
+            if p == 0.0:
+                return -math.inf
+            out += edges * math.log(p)
+        holes = pairs - edges
+        if holes:
+            if p == 1.0:
+                return -math.inf
+            out += holes * math.log(1.0 - p)
+        return out
+
+    ll = 0.0
+    within_edges = 0
+    within_pairs = 0
+    for k in range(1, config.r + 1):
+        members = np.flatnonzero(labels == k)
+        e_k = int(m[np.ix_(members, members)].sum()) // 2
+        pairs_k = len(members) * (len(members) - 1) // 2
+        ll += term(e_k, pairs_k, float(config.probs[k - 1]))
+        within_edges += e_k
+        within_pairs += pairs_k
+    ll += term(edge_total - within_edges, pair_total - within_pairs, config.q)
+    return ll
 
 
 def key(partition):

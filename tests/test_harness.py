@@ -16,6 +16,7 @@ from hsbmlab import (
     ExperimentSpec,
     ModelConfig,
     SolverOptions,
+    UNOBSERVED,
     classify,
     example_config,
     example6_reference_constants,
@@ -230,7 +231,7 @@ class TestRecover:
         partial = ModelConfig(60, [(30, 0.95), (30, 0.95)], 0.01, gamma=0.8)
         full = ModelConfig(60, [(30, 0.95), (30, 0.95)], 0.01)
         graph = sample_observed(partial, partial.planted_partition(), 0)
-        unobserved = int((~graph.observed_mask()).sum() - 60) // 2
+        unobserved = int((graph.values == UNOBSERVED).sum()) // 2
         assert unobserved > 0
         with pytest.raises(ConfigError) as err:
             recover("counting", graph, full)

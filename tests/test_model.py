@@ -110,9 +110,9 @@ class TestModelConfig:
         again = ModelConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
-    def test_from_arrays(self):
-        cfg = ModelConfig.from_arrays(
-            10, np.array([5, 5]), np.array([0.9, 0.8]), 0.05
+    def test_from_runs_with_unit_counts(self):
+        cfg = ModelConfig.from_runs(
+            10, np.array([5, 5]), np.array([0.9, 0.8]), np.array([1, 1]), 0.05
         )
         assert cfg == ModelConfig(10, [(5, 0.9), (5, 0.8)], 0.05)
 
@@ -155,7 +155,7 @@ class TestRuns:
 
     def test_equal_neighbours_merge(self):
         a = ModelConfig(12, [(5, 0.9), (5, 0.9)], 0.05)
-        b = ModelConfig.from_arrays(12, [5, 5], [0.9, 0.9], 0.05)
+        b = ModelConfig.from_runs(12, [5, 5], [0.9, 0.9], [1, 1], 0.05)
         c = ModelConfig.from_runs(12, [5], [0.9], [2], 0.05)
         assert a == b == c
         assert hash(a) == hash(b) == hash(c)
@@ -236,7 +236,7 @@ class TestPartition:
         assert p.n == 6
         assert p.cluster_sizes() == {1: 2, 2: 3}
         assert p.size_multiset() == (2, 3)
-        assert p.members(2).tolist() == [2, 3, 4]
+        assert np.flatnonzero(p.labels == 2).tolist() == [2, 3, 4]
 
     def test_labels_read_only(self):
         p = Partition([1, 1, 0])
