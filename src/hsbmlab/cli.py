@@ -222,9 +222,17 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
+def _int_list(flag: str, text: str, parse) -> list[int]:
+    """Parse a comma-separated flag value; a malformed token is a ConfigError."""
+    try:
+        return [parse(tok) for tok in text.split(",") if tok]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def cmd_table1(args) -> int:
-    n_grid = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
-    example_ids = tuple(int(tok) for tok in args.examples.split(",") if tok)
+    n_grid = _int_list("--n-grid", args.n_grid, lambda tok: int(float(tok)))
+    example_ids = tuple(_int_list("--examples", args.examples, int))
     rows = run_table1(n_grid, C=args.constant_c, eta=args.eta,
                       example_ids=example_ids)
     if args.out is None:

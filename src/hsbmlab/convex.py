@@ -16,18 +16,19 @@ combinatorial problem by a constant and only tightens the relaxation.
 
 It is solved by Douglas-Rachford splitting between the nuclear-norm ball
 (spectral projection) and the box-with-sum polytope (entrywise clamp at a
-bisected shift), with the linear objective folded into the second proximal
-step.  With an integer objective matrix the iteration stops as soon as
-weak duality proves that the rounded iterate is a best clustering matrix in
-the body (see ``solve_convex``).  The candidate iterate is then rounded
-entrywise and validated: every connected component of the thresholded
-matrix must be a clique, and ``recover_convex`` also requires the cluster
-sizes to be the configured ones; otherwise a ``RoundingFailure`` is returned
-rather than a partition.
+shift found exactly from the sorted entries), with the linear objective
+folded into the second proximal step.  With an integer objective matrix
+the iteration stops as soon as weak duality proves that the rounded iterate
+is a best clustering matrix in the body (see ``solve_convex``).  The
+candidate iterate is then rounded entrywise and validated: every connected
+component of the thresholded matrix must be a clique, and
+``recover_convex`` also requires the cluster sizes to be the configured
+ones; otherwise a ``RoundingFailure`` is returned rather than a partition.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ from .model import (ModelConfig, Partition, clique_components, clustering_matrix
 DEFAULT_ROUNDING_THRESHOLD = 0.5
 TOL_CHANGE = 1e-7
 TOL_FEASIBILITY = 1e-6
-BOX_SUM_BISECTION_STEPS = 80
 # A certificate needs bound - <M, Y_P> < 1 - CERTIFICATE_SLACK; the slack
 # keeps float error in the bound (relative 1e-12 or less) from certifying.
 CERTIFICATE_SLACK = 1e-3
@@ -114,21 +114,38 @@ def project_box_sum(M: np.ndarray, total: float) -> np.ndarray:
     """Frobenius projection onto {0 <= Y <= 1 entrywise, sum(Y) = total}.
 
     The projection is clip(M - lam, 0, 1) for the shift lam at which the
-    clipped sum equals the target; the clipped sum is continuous and
-    nonincreasing in lam, so bisection pins lam to machine precision.
+    clipped sum f(lam) = sum clip(M - lam, 0, 1) equals the target.  f is
+    continuous, nonincreasing and piecewise linear with kinks at the
+    entries v and at v - 1.  With the entries sorted once, f costs two
+    searchsorted calls, so a binary search over each kink set finds the
+    linear piece that holds the target, and lam solves its equation
+    exactly.  Where f is flat at the target every lam on the piece gives
+    the same projection.
     """
     size = M.size
     if not 0.0 <= total <= size:
         raise ValueError(f"target sum {total} outside [0, {size}]")
-    lo = float(M.min()) - 1.0
-    hi = float(M.max())
-    for _ in range(BOX_SUM_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if np.clip(M - mid, 0.0, 1.0).sum() >= total:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(M - 0.5 * (lo + hi), 0.0, 1.0)
+    v = np.sort(np.asarray(M, dtype=float), axis=None)
+    csum = np.empty(size + 1)
+    csum[0] = 0.0
+    np.cumsum(v, out=csum[1:])
+
+    def below(lam: float) -> bool:
+        """f(lam) < total; an entry at a kink clips to the same value on
+        either side of it, so searchsorted's side does not matter."""
+        zero, one = int(v.searchsorted(lam)), int(v.searchsorted(lam + 1.0))
+        return size - one + float(csum[one] - csum[zero]) - lam * (one - zero) < total
+
+    # On the piece holding the target, the first `lo` sorted entries clip
+    # to 0, the entries from `hi` on clip to 1 and the rest are shifted.
+    lo = bisect.bisect_left(v, True, key=below)
+    hi = bisect.bisect_left(v, True, lo, key=lambda x: below(x - 1.0))
+    if hi > lo:
+        lam = (float(v[lo:hi].sum()) + (size - hi - total)) / (hi - lo)
+    else:  # f is flat at the target (lo is 0 only by rounding, at total = size)
+        lam = float(v[lo - 1]) if lo else float(v[0]) - 1.0
+    out = np.subtract(M, lam, out=v.reshape(M.shape))  # the sort's buffer
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def nuclear_norm(M: np.ndarray) -> float:

@@ -267,9 +267,9 @@ def run_table1(
                 row[f"{short}_margin"] = math.nan
                 row[f"{short}_trend"] = math.nan
             over = constants.get(ex)
-            if over is None and ex == 6:
-                over = example6_reference_constants(int(n))
             try:
+                if over is None and ex == 6:
+                    over = example6_reference_constants(int(n))
                 config = example_config(ex, int(n), over)
             except ConfigError as exc:
                 row["feasible"] = False

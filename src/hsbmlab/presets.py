@@ -196,6 +196,8 @@ def example6_reference_constants(n: int) -> dict:
     two secondary clusters of size ~n^0.55 at 0.7, and the leading cluster
     at p_min = 0.3 + (log n / n)^(1/4) — inside the regime where both the
     search and (eventually) the convex conditions activate."""
+    if n < 2:
+        raise ConfigError(f"n must be >= 2, got {n}")
     side = round(n**0.55)
     f = (math.log(n) / n) ** 0.25
     return {"q": 0.3, "p_min": 0.3 + f, "p2": 0.7, "p3": 0.7,

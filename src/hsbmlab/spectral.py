@@ -24,7 +24,7 @@ from .generate import (
     sample_adjacency,
     stream_rng,
 )
-from .model import ModelConfig, derived_stats
+from .model import ConfigError, ModelConfig, derived_stats
 
 BENCH_REL_TOL = 1e-8
 
@@ -163,7 +163,7 @@ def concentration_experiment(
     seed + i, so the experiment is reproducible and order-independent.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     collapsed = config.collapsed()
     partition = collapsed.planted_partition()
     expected = expected_adjacency(collapsed, partition)

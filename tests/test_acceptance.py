@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from test_convex import oracle_box_sum_projection, oracle_nuclear_projection
+from test_convex import (bisection_box_sum_projection, oracle_box_sum_projection,
+                         oracle_nuclear_projection)
 
 from hsbmlab import (
     ExperimentSpec,
@@ -170,7 +171,7 @@ def test_criterion_02_divergence_inequality():
 def test_criterion_03_projection_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    worst_nuc = worst_box = 0.0
+    worst_nuc = worst_box = worst_bisect = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
         G = rng.normal(scale=2.0, size=(n, n))
@@ -180,9 +181,11 @@ def test_criterion_03_projection_oracles():
         worst_nuc = max(worst_nuc, float(np.linalg.norm(
             project_nuclear_ball(M, radius) - oracle_nuclear_projection(M, radius)
         )))
+        P = project_box_sum(M, total)
         worst_box = max(worst_box, float(np.linalg.norm(
-            project_box_sum(M, total) - oracle_box_sum_projection(M, total)
-        )))
+            P - oracle_box_sum_projection(M, total))))
+        worst_bisect = max(worst_bisect, float(np.linalg.norm(
+            P - bisection_box_sum_projection(M, total))))
 
     worst_idem = worst_exp = 0.0
     for _ in range(1000):
@@ -199,12 +202,13 @@ def test_criterion_03_projection_oracles():
                 np.linalg.norm(P1 - P2) - np.linalg.norm(M1 - M2)
             ))
     elapsed = time.perf_counter() - start
-    ok = (worst_nuc <= 1e-8 and worst_box <= 1e-8
+    ok = (worst_nuc <= 1e-8 and worst_box <= 1e-8 and worst_bisect <= 1e-8
           and worst_idem <= 1e-8 and worst_exp <= 1e-10 and elapsed < 30.0)
     report(3, ok,
            f"oracle gap nuclear {worst_nuc:.1e} / box-sum {worst_box:.1e} "
-           f"(tol 1e-8, 100 instances); idempotence {worst_idem:.1e}, "
-           f"expansiveness excess {worst_exp:.1e} on 1000 pairs; {elapsed:.1f}s")
+           f"/ box-sum bisection {worst_bisect:.1e} (tol 1e-8, 100 instances); "
+           f"idempotence {worst_idem:.1e}, expansiveness excess {worst_exp:.1e} "
+           f"on 1000 pairs; {elapsed:.1f}s")
 
 
 def test_criterion_04_exhaustive_oracle_equivalence():

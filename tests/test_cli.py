@@ -301,6 +301,13 @@ class TestBenchSpectral:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert len(json.loads(paths[0].read_text())) == 4
 
+    def test_zero_trials_exits_2(self, small_config, capsys):
+        assert main(["bench-spectral", "--config", small_config,
+                     "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: trials must be >= 1, got 0\n"
+        assert captured.out == ""
+
 
 class TestMonteCarlo:
     @pytest.fixture()
@@ -428,6 +435,22 @@ class TestTable1:
     def test_stdout_mode(self, capsys):
         assert main(["table1", "--n-grid", "1e4", "--examples", "1"]) == 0
         assert "'example': 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--n-grid", "1e4,abc", "could not convert string to float: 'abc'"),
+        ("--n-grid", "1e4,inf", "cannot convert float infinity to integer"),
+        ("--examples", "1,x", "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_malformed_list_exits_2(self, flag, value, reason, capsys):
+        assert main(["table1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: {reason}\n"
+        assert captured.out == ""
+
+    def test_nonpositive_n_gives_infeasible_rows(self, capsys):
+        assert main(["table1", "--n-grid=-5,0", "--examples", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "n must be >= 2, got -5" in out and "n must be >= 2, got 0" in out
 
     def test_reruns_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

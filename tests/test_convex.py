@@ -1,8 +1,9 @@
 """Convex relaxation: projection oracles, solver behavior, rounding.
 
 The two projection operators are checked against independent oracles built
-on different algorithms (dual bisection for the nuclear ball, breakpoint
-scan + KKT certificates for the box-with-sum polytope), then the end-to-end
+on different algorithms from the library's (dual bisection for the nuclear
+ball; bisection on the shift, a brute-force breakpoint scan and KKT
+certificates for the box-with-sum polytope), then the end-to-end
 pipeline is pinned with frozen success counts on a fixed seed range.  The
 duality-gap stop is checked against an eigensolver-based bound and the
 exhaustive oracle, and its iteration counts are pinned.
@@ -82,6 +83,26 @@ def oracle_box_sum_projection(M, total):
         else:
             lam = k0 + (g0 - total) * (k1 - k0) / (g0 - g1)
     return np.clip(M - lam, 0.0, 1.0)
+
+
+def bisection_box_sum_projection(M, total):
+    """Bisection on the shift: the clipped sum g(lam) = sum clip(M - lam,
+    0, 1) is continuous and nonincreasing, so 80 halvings of
+    [min M - 1, max M] pin lam as finely as a float sum near the target
+    resolves it.  Above half the box it bisects the complement instead,
+    P(M, t) = 1 - P(1 - M, M.size - t), so that the sum compared is the
+    smaller one (a sum near 40000 resolves only about 7e-12)."""
+    if total > M.size / 2:
+        return 1.0 - bisection_box_sum_projection(1.0 - M, M.size - total)
+    lo = float(M.min()) - 1.0
+    hi = float(M.max())
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.clip(M - mid, 0.0, 1.0).sum() >= total:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(M - 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def assert_box_sum_kkt(M, P, total, tol=1e-8):
@@ -166,8 +187,50 @@ class TestBoxSumProjection:
             M = rng.normal(scale=2.0, size=(n, n))
             total = float(rng.uniform(0.0, n * n))
             P = project_box_sum(M, total)
-            O = oracle_box_sum_projection(M, total)
-            assert np.abs(P - O).max() < 1e-9
+            for oracle in (oracle_box_sum_projection, bisection_box_sum_projection):
+                assert np.abs(P - oracle(M, total)).max() < 1e-9
+
+    @pytest.mark.parametrize("M, total, expected", [
+        ([[0.3]], 0.0, [[0.0]]),
+        ([[0.3]], 0.25, [[0.25]]),
+        ([[0.3]], 1.0, [[1.0]]),
+        ([[1.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]], 0.0, np.zeros((3, 3))),
+        ([[1.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]], 9.0, np.ones((3, 3))),
+        (np.full((4, 4), 0.7), 6.0, np.full((4, 4), 0.375)),
+        # -0.9 - 1 + 1 rounds above -0.9, so the clipped sum at the first
+        # kink reads a rounding error under the target.
+        (np.full((4, 4), -0.9), 16.0, np.ones((4, 4))),
+        # The shift lands on 1, a kink of the three 1s and of the three 2s.
+        ([[1.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]], 3.0,
+         [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        # g is flat at the target: every shift in [0, 2] gives the same clip.
+        ([[0.0, 3.0], [3.0, 0.0]], 2.0, [[0.0, 1.0], [1.0, 0.0]]),
+        ([[0, 3, 0], [3, 0, 3], [0, 3, 0]], 4.0,
+         [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    ])
+    def test_edge_cases(self, M, total, expected):
+        M = np.asarray(M)
+        P = project_box_sum(M, total)
+        assert np.abs(P - np.asarray(expected)).max() < 1e-12
+        for oracle in (oracle_box_sum_projection, bisection_box_sum_projection):
+            assert np.abs(P - oracle(M.astype(float), total)).max() < 1e-9
+        assert_box_sum_kkt(M, P, total)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["normal", "integer"]),
+           fraction=st.floats(0.0, 1.0), integer_target=st.booleans())
+    def test_matches_bisection_at_n200(self, seed, kind, fraction, integer_target):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            M = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=(200, 200))
+        else:
+            M = rng.integers(-3, 4, size=(200, 200)).astype(float)
+        total = fraction * M.size
+        if integer_target:
+            total = float(round(total))
+        P = project_box_sum(M, total)
+        assert_box_sum_kkt(M, P, total)
+        assert np.abs(P - bisection_box_sum_projection(M, total)).max() < 1e-12
 
     def test_kkt_certificate(self):
         rng = np.random.default_rng(6)

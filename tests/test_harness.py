@@ -392,6 +392,14 @@ class TestRunTable1:
             assert math.isnan(rows[1][f"{short}_trend"])
             assert math.isfinite(rows[2][f"{short}_trend"])
 
+    def test_small_n_rows_infeasible_for_every_preset(self):
+        # Family 6's reference constants take log n, so they too must
+        # refuse n < 2 with the note the other presets give.
+        rows = run_table1((-5, 0, 1), example_ids=(1, 6))
+        assert [(r["example"], r["feasible"], r["note"]) for r in rows] == [
+            (ex, False, f"n must be >= 2, got {n}") for ex in (1, 6) for n in (-5, 0, 1)
+        ]
+
     def test_constant_overrides_change_margins(self):
         base = run_table1((10**5,), example_ids=(2,))[0]
         boosted = run_table1((10**5,), example_ids=(2,),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hsbmlab import (
+    ConfigError,
     ModelConfig,
     SpectralNormError,
     bernstein_tail,
@@ -208,5 +209,5 @@ class TestConcentrationExperiment:
         assert all(set(r) == {"trial", "norm", "bound", "ratio"} for r in rows)
 
     def test_trials_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             concentration_experiment(self.CFG, trials=0, seed=0)
