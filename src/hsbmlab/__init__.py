@@ -12,7 +12,6 @@ harness with CSV/JSON persistence and a CLI.
 from .convex import (
     ConvexRecovery,
     RoundingFailure,
-    SolverOptions,
     SolverResult,
     project_box_sum,
     project_nuclear_ball,

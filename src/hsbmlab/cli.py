@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .convex import SolverOptions
+from .convex import MAX_ITER, check_max_iter
 from .generate import sample_adjacency, sample_observed
 from .graphio import read_graph, write_adjacency, write_observed
 from .harness import (
@@ -138,11 +138,11 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _solver_options(fields) -> SolverOptions:
-    """SolverOptions from a mapping of user input; a non-mapping, an unknown
-    field or an out-of-range value is a ConfigError."""
+def _max_iter(fields) -> int:
+    """max_iter from a mapping of user input, its only field; a non-mapping,
+    any other field or an out-of-range value is a ConfigError."""
     try:
-        return SolverOptions(**fields)
+        return check_max_iter(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver options: {exc}") from exc
 
@@ -150,9 +150,8 @@ def _solver_options(fields) -> SolverOptions:
 def cmd_recover(args) -> int:
     config = _config_from_args(args)
     graph = read_graph(args.adjacency)
-    solver = _solver_options({"max_iter": args.max_iter, "step": args.step,
-                              "rounding_threshold": args.threshold})
-    rec = recover(args.algorithm, graph, config, solver, seed=args.seed,
+    max_iter = _max_iter({"max_iter": args.max_iter})
+    rec = recover(args.algorithm, graph, config, max_iter, seed=args.seed,
                   restarts=args.restarts)
     if rec.partition is not None:
         labels = rec.partition.labels.tolist()
@@ -198,16 +197,14 @@ def _spec_from_file(path: str, args) -> ExperimentSpec:
     else:
         raise ConfigError("spec file needs a 'config' or 'example' entry")
     config = _with_gamma(config, args.gamma)
-    solver = None
-    if "solver" in raw:
-        solver = _solver_options(raw["solver"])
+    max_iter = _max_iter(raw.get("solver", {}))
     return ExperimentSpec(
         config=config,
         algorithms=tuple(raw.get("algorithms", ["convex"])),
         trials=int(raw.get("trials", 10)),
         base_seed=int(raw.get("base_seed", args.seed)),
         config_id=str(raw.get("config_id", "config")),
-        solver_options=solver,
+        max_iter=max_iter,
         restarts=int(raw.get("restarts", 10)),
     )
 
@@ -264,10 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed", "--out", "--format", *CONFIG_SOURCE)
     p.add_argument("--adjacency", type=str, required=True, help="graph file")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="convex")
-    p.add_argument("--max-iter", type=int, default=SolverOptions().max_iter)
-    p.add_argument("--step", type=float, default=SolverOptions().step)
-    p.add_argument("--threshold", type=float,
-                   default=SolverOptions().rounding_threshold)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--restarts", type=int, default=10)
     p.set_defaults(func=cmd_recover)
 

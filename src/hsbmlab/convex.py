@@ -17,7 +17,7 @@ combinatorial problem by a constant and only tightens the relaxation.
 It is solved by Douglas-Rachford splitting between the nuclear-norm ball
 (spectral projection) and the box-with-sum polytope (entrywise clamp at a
 shift found exactly from the sorted entries), with the linear objective
-folded into the second proximal step.  With an integer objective matrix
+folded into the second proximal step at unit step size.  With an integer objective matrix
 the iteration stops as soon as weak duality proves that the rounded iterate
 is a best clustering matrix in the body (see ``solve_convex``).  The
 candidate iterate is then rounded entrywise and validated: every connected
@@ -34,33 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import Adjacency, as_matrix
-from .model import (ModelConfig, Partition, clique_components, clustering_matrix,
-                    size_mismatch)
+from .generate import Adjacency, as_matrix, config_matrix
+from .model import (ConfigError, ModelConfig, Partition, clique_components,
+                    clustering_matrix, size_mismatch)
 
-DEFAULT_ROUNDING_THRESHOLD = 0.5
+# Default iteration cap of the splitting method, its only setting.
+MAX_ITER = 2000
+ROUNDING_THRESHOLD = 0.5
 TOL_CHANGE = 1e-7
 TOL_FEASIBILITY = 1e-6
 # A certificate needs bound - <M, Y_P> < 1 - CERTIFICATE_SLACK; the slack
 # keeps float error in the bound (relative 1e-12 or less) from certifying.
 CERTIFICATE_SLACK = 1e-3
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the splitting iteration and the rounding step."""
-
-    max_iter: int = 2000
-    step: float = 1.0
-    rounding_threshold: float = DEFAULT_ROUNDING_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if not 0.0 < self.rounding_threshold < 1.0:
-            raise ValueError("rounding_threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +66,13 @@ class SolverResult:
     sum_residual: float
     objective: float
     gap: float = math.inf
+
+
+def check_max_iter(max_iter: int = MAX_ITER) -> int:
+    """The iteration cap itself, or a ConfigError when it is below 1."""
+    if max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
+    return max_iter
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -152,19 +144,18 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
-def dual_bound(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, step: float,
-               sum_target: int) -> float:
+def dual_bound(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, sum_target: int) -> float:
     """Weak-duality upper bound on max <M, Y> over the relaxation body, from
     the iterate Z and its nuclear-ball projection Y.
 
     For any symmetric U, <M, Y'> = <U, Y'> + <M - U, Y'> is at most
     radius * ||U||_op plus the sum of the sum_target largest entries of
-    M - U.  With U = (Z - Y) / step, the normal-cone element of the
-    projection, ||Z - Y||_op is the spectral shrink tau and
-    <Z - Y, Y> = tau * radius (both 0 when the projection is inactive), so
-    the first term costs an inner product rather than an eigensolve.
+    M - U.  With U = Z - Y, the normal-cone element of the projection,
+    ||U||_op is the spectral shrink tau and <U, Y> = tau * radius (both 0
+    when the projection is inactive), so the first term costs an inner
+    product rather than an eigensolve.
     """
-    U = (Z - Y) / step
+    U = Z - Y
     flat = (M - U).ravel()
     cut = flat.size - sum_target
     top = float(np.partition(flat, cut)[cut:].sum()) if sum_target else 0.0
@@ -172,10 +163,10 @@ def dual_bound(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, step: float,
 
 
 def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
-             nuclear_radius: float, sum_target: int, opts: SolverOptions):
+             nuclear_radius: float, sum_target: int):
     """Round W; if it gives a clustering matrix Y_P in the body, return
     (Y_P, <M, Y_P>, dual bound - <M, Y_P>), else None."""
-    link = W > opts.rounding_threshold
+    link = W > ROUNDING_THRESHOLD
     np.fill_diagonal(link, False)
     degrees = link.sum(axis=1)
     linked = degrees[degrees > 0]
@@ -184,19 +175,19 @@ def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
     # the body here spares most iterates the rounding.
     if int((linked + 1).sum()) != sum_target or linked.size > nuclear_radius:
         return None
-    rounded = round_solution(W, opts.rounding_threshold)
+    rounded = round_solution(W)
     if isinstance(rounded, RoundingFailure):
         return None
     Y_P = clustering_matrix(rounded).astype(float)
     value = float(np.tensordot(M, Y_P))
-    return Y_P, value, dual_bound(M, Z, Y, opts.step, sum_target) - value
+    return Y_P, value, dual_bound(M, Z, Y, sum_target) - value
 
 
 def solve_convex(
     A: Adjacency | np.ndarray,
     nuclear_radius: float,
     sum_target: float,
-    options: SolverOptions | None = None,
+    max_iter: int = MAX_ITER,
 ) -> SolverResult:
     """Douglas-Rachford iteration for max <M, Y> over the relaxation body,
     M the given matrix.
@@ -219,7 +210,7 @@ def solve_convex(
       also within relative TOL_FEASIBILITY of the nuclear ball;
     - max_iter, unconverged.
     """
-    opts = options or SolverOptions()
+    check_max_iter(max_iter)
     a = as_matrix(A).astype(float)
     certifiable = float(sum_target).is_integer() and bool(np.all(a == np.round(a)))
     Z = project_box_sum(a, sum_target)
@@ -228,14 +219,14 @@ def solve_convex(
     change = math.inf
     gap = math.inf
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         Y = project_nuclear_ball(Z, nuclear_radius)
-        W = project_box_sum(2.0 * Y - Z + opts.step * a, sum_target)
+        W = project_box_sum(2.0 * Y - Z + a, sum_target)
         W = (W + W.T) / 2.0
         diff = W - Y
         change = float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(W)))
         if certifiable:
-            found = _certify(a, Z, Y, W, nuclear_radius, int(sum_target), opts)
+            found = _certify(a, Z, Y, W, nuclear_radius, int(sum_target))
             if found is not None:
                 Y_P, value, gap = found
                 if gap < 1.0 - CERTIFICATE_SLACK:
@@ -273,14 +264,12 @@ class RoundingFailure:
     detail: str = ""
 
 
-def round_solution(
-    Y: np.ndarray,
-    threshold: float = DEFAULT_ROUNDING_THRESHOLD,
-) -> Partition | RoundingFailure:
-    """Threshold the iterate entrywise (strictly above) and read off
-    clusters as connected components, requiring each multi-node component to
-    be a clique.  Singleton components become isolated nodes (label 0)."""
-    B = Y > threshold
+def round_solution(Y: np.ndarray) -> Partition | RoundingFailure:
+    """Threshold the iterate entrywise (strictly above ROUNDING_THRESHOLD)
+    and read off clusters as connected components, requiring each
+    multi-node component to be a clique.  Singleton components become
+    isolated nodes (label 0)."""
+    B = Y > ROUNDING_THRESHOLD
     np.fill_diagonal(B, False)
     labels, flaw = clique_components(B)
     if flaw is not None:
@@ -288,7 +277,7 @@ def round_solution(
         return RoundingFailure(
             "not_clique",
             f"component of {size} nodes is missing {missing} "
-            f"pairs above threshold {threshold}",
+            f"pairs above threshold {ROUNDING_THRESHOLD}",
         )
     return Partition(labels)
 
@@ -310,7 +299,7 @@ class ConvexRecovery:
 def recover_convex(
     A: Adjacency | np.ndarray,
     config: ModelConfig,
-    options: SolverOptions | None = None,
+    max_iter: int = MAX_ITER,
 ) -> ConvexRecovery:
     """Solve the relaxation max <A + I, Y> at the configuration's nuclear
     radius sum_k n_k and sum target sum_k n_k^2, then round.  A partition
@@ -324,10 +313,10 @@ def recover_convex(
     configured sizes, isolated nodes adding nothing, so the body is the
     tightest nuclear ball that still contains them all.
     """
-    opts = options or SolverOptions()
     sum_target = float(sum(s * s for s in config.sizes))
-    objective_matrix = as_matrix(A).astype(float) + np.eye(config.n)
-    result = solve_convex(objective_matrix, float(config.n_covered), sum_target, opts)
+    objective_matrix = config_matrix(A, config).astype(float) + np.eye(config.n)
+    result = solve_convex(objective_matrix, float(config.n_covered), sum_target,
+                          max_iter)
     if not result.converged:
         failure = RoundingFailure(
             "nonconvergence",
@@ -336,7 +325,7 @@ def recover_convex(
             f"{result.nuclear_residual:.3e}, gap {result.gap:.3e})",
         )
         return ConvexRecovery(partition=None, failure=failure, solver=result)
-    rounded = round_solution(result.Y, opts.rounding_threshold)
+    rounded = round_solution(result.Y)
     if isinstance(rounded, RoundingFailure):
         return ConvexRecovery(partition=None, failure=rounded, solver=result)
     mismatch = size_mismatch(rounded, config)

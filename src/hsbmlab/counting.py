@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import Adjacency, as_matrix
+from .generate import Adjacency, config_matrix
 from .model import (
-    ConfigError,
     ModelConfig,
     Partition,
     clique_components,
@@ -90,10 +89,8 @@ def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Counting
     """
     # float64 holds 0/1 sums and common-neighbor counts (< 2^53) exactly,
     # and keeps the matrix product on the fast dense path.
-    m = as_matrix(A).astype(np.float64)
+    m = config_matrix(A, config).astype(np.float64)
     n = m.shape[0]
-    if n != config.n:
-        raise ConfigError(f"adjacency has {n} nodes but config has n = {config.n}")
     t_iso = isolated_threshold(config)
     t_link = pair_threshold(config)
 

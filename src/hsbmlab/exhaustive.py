@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import STREAM_ALGORITHM, Adjacency, as_matrix, stream_rng
+from .generate import (STREAM_ALGORITHM, Adjacency, as_matrix, config_matrix,
+                       stream_rng)
 from .model import ConfigError, ModelConfig, Partition
 
 MAX_EXHAUSTIVE_N = 14
@@ -210,11 +211,7 @@ def solve_exhaustive(
     maximizer in canonical order, and the stored ties (the first one always,
     then up to tie_cap in all) are the maximizers in that order.
     """
-    m = as_matrix(A)
-    if m.shape[0] != config.n:
-        raise ConfigError(
-            f"adjacency has {m.shape[0]} nodes but config has n = {config.n}"
-        )
+    m = config_matrix(A, config)
     best_val = -1
     ties: list[Partition] = []
     tie_count = 0
@@ -302,16 +299,10 @@ def local_search(
     optimum over the given number of restarts.  Deterministic under seed."""
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    m = as_matrix(A).astype(float)
+    m = config_matrix(A, config).astype(float)
     n = m.shape[0]
-    if n != config.n:
-        raise ConfigError(f"adjacency has {n} nodes but config has n = {config.n}")
     rng = stream_rng(seed, STREAM_ALGORITHM)
-    template = np.zeros(n, dtype=np.int64)
-    pos = 0
-    for k, s in enumerate(config.sizes.tolist(), start=1):
-        template[pos : pos + s] = k
-        pos += s
+    template = config.planted_partition().labels
     best_labels = None
     best_val = -1
     best_restart = 0

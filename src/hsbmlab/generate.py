@@ -102,6 +102,15 @@ def as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
     return A.matrix if isinstance(A, Adjacency) else np.asarray(A)
 
 
+def config_matrix(A: Adjacency | np.ndarray, config: ModelConfig) -> np.ndarray:
+    """as_matrix(A), refusing a graph whose node count is not config.n."""
+    m = as_matrix(A)
+    if m.shape[0] != config.n:
+        raise ConfigError(
+            f"adjacency has {m.shape[0]} nodes but config has n = {config.n}")
+    return m
+
+
 UNOBSERVED = -1
 
 

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .convex import SolverOptions, recover_convex
+from .convex import MAX_ITER, recover_convex
 from .counting import recover_counting
 from .exhaustive import (
     MAX_EXHAUSTIVE_N,
@@ -41,14 +41,15 @@ FAILURE_KINDS = ("none", "rounding", "nonconvergence", "counting", "tie")
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One Monte Carlo experiment: a configuration, the algorithms to run
-    on it, and the trial/seed/options bookkeeping."""
+    on it, and the trial/seed/options bookkeeping.  max_iter applies to
+    convex only, restarts to local search only."""
 
     config: ModelConfig
     algorithms: tuple[str, ...]
     trials: int
     base_seed: int = 0
     config_id: str = "config"
-    solver_options: SolverOptions | None = None
+    max_iter: int = MAX_ITER
     restarts: int = 10
 
     def __post_init__(self) -> None:
@@ -82,15 +83,15 @@ class Recovery:
 
 
 def recover(algorithm: str, graph, config: ModelConfig,
-            solver_options: SolverOptions | None = None,
-            seed: int = 0, restarts: int = 10) -> Recovery:
+            max_iter: int = MAX_ITER, seed: int = 0, restarts: int = 10) -> Recovery:
     """Run one algorithm on an Adjacency or ObservedMatrix.
 
     Partial observation: an ObservedMatrix is collapsed with unobserved
     pairs mapped to 0, and a configuration with gamma < 1 is replaced by its
     gamma-collapsed form.  An ObservedMatrix with unobserved pairs under a
     gamma = 1 configuration is refused, since that model would read them as
-    non-edges.  seed and restarts apply to local search only.
+    non-edges.  max_iter applies to convex only, seed and restarts to local
+    search only.
     """
     if isinstance(graph, ObservedMatrix):
         unobserved = int((graph.values == UNOBSERVED).sum()) // 2
@@ -103,7 +104,9 @@ def recover(algorithm: str, graph, config: ModelConfig,
     if config.gamma < 1.0:
         config = config.collapsed()
     if algorithm == "convex":
-        rec = recover_convex(graph, config, solver_options)
+        # max_iter goes third, by position: the benchmark's wrapper of
+        # recover_convex forwards its third argument positionally.
+        rec = recover_convex(graph, config, max_iter)
         if rec.failure is None:
             return Recovery(rec.partition, "none", "", rec.solver.objective)
         kind = "nonconvergence" if rec.failure.kind == "nonconvergence" else "rounding"
@@ -156,7 +159,7 @@ def run_trial(spec: ExperimentSpec, algorithm: str, trial: int) -> ResultRow:
         graph = sample_adjacency(config, planted, seed)
 
     start = time.perf_counter()
-    rec = recover(algorithm, graph, config, spec.solver_options, seed, spec.restarts)
+    rec = recover(algorithm, graph, config, spec.max_iter, seed, spec.restarts)
     wall = time.perf_counter() - start
     return ResultRow(
         config_id=spec.config_id,

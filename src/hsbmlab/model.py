@@ -39,9 +39,16 @@ class Cluster:
 
 def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        if not np.all(arr == np.floor(arr)):
-            raise ConfigError(f"cluster {what} must be integers")
+    if arr.dtype.kind in "bi":
+        return arr.astype(np.int64)
+    if arr.dtype.kind != "u" and not np.all(arr == np.floor(arr)):
+        raise ConfigError(f"cluster {what} must be integers")
+    # Other dtypes can hold values beyond int64, where the cast would wrap
+    # or raise OverflowError.
+    if arr.size and not (-2**63 <= arr.min() and arr.max() < 2**63):
+        extreme = max(arr.min(), arr.max(), key=abs)
+        raise ConfigError(f"cluster {what} must lie in the int64 range "
+                          f"[-2**63, 2**63 - 1], got {extreme}")
     return arr.astype(np.int64)
 
 
@@ -176,7 +183,8 @@ class ModelConfig:
     @property
     def n_covered(self) -> int:
         """Number of nodes inside planted clusters (n-bar)."""
-        return int((self._sizes * self._counts).sum())
+        # Python ints: the int64 product and sum could wrap past 2**63.
+        return sum(s * c for s, c in zip(self._sizes.tolist(), self._counts.tolist()))
 
     @property
     def n0(self) -> int:

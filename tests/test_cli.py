@@ -122,6 +122,13 @@ class TestClassify:
                      "--constant", "c=2.0"]) == 0
         assert capsys.readouterr().out.strip() != ""
 
+    def test_n_beyond_int64_exits_2(self, capsys):
+        assert main(["classify", "--example", "1", "--n", str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: example 1 infeasible at n = ")
+        assert "int64 range" in captured.err
+        assert captured.out == ""
+
 
 class TestRecover:
     def test_convex_success_prints_labels(self, small_config, small_graph, capsys):
@@ -239,9 +246,7 @@ class TestRecover:
 
 
     @pytest.mark.parametrize("flag,value,field", [
-        ("--threshold", "1.5", "rounding_threshold"),
         ("--max-iter", "0", "max_iter"),
-        ("--step", "0", "step"),
     ])
     def test_out_of_range_solver_option_exits_2(self, small_config, small_graph,
                                                capsys, flag, value, field):
@@ -273,6 +278,17 @@ class TestRecover:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.startswith("node,label")
+
+    @pytest.mark.parametrize("algorithm", hsbmlab.ALGORITHMS)
+    def test_graph_of_wrong_size_exits_2(self, tmp_path, small_graph, algorithm,
+                                         capsys):
+        config = tmp_path / "n12.json"
+        config.write_text(json.dumps(dict(SMALL, n=12)))
+        assert main(["recover", "--config", str(config), "--adjacency",
+                     small_graph, "--algorithm", algorithm]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: adjacency has 10 nodes but config has n = 12\n"
+        assert captured.out == ""
 
     def test_zero_restarts_exits_2(self, small_config, small_graph, capsys):
         assert main(["recover", "--config", small_config, "--adjacency",
@@ -382,19 +398,22 @@ class TestMonteCarlo:
         assert captured.out == ""
 
     def test_former_solver_field_exits_2(self, tmp_path, capsys):
-        # The change-test tolerance is a constant, not a solver option.
-        path = tmp_path / "tol_spec.json"
-        path.write_text(json.dumps({
-            "config": SMALL,
-            "algorithms": ["convex"],
-            "trials": 1,
-            "solver": {"tol_change": 1e-9},
-        }))
-        assert main(["montecarlo", "--spec", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: solver options: ")
-        assert "tol_change" in captured.err
-        assert captured.out == ""
+        # The change-test tolerance, the Douglas-Rachford step and the
+        # rounding threshold are constants, not solver options.
+        for field, value in (("tol_change", 1e-9), ("step", 1.0),
+                             ("rounding_threshold", 0.5)):
+            path = tmp_path / f"{field}_spec.json"
+            path.write_text(json.dumps({
+                "config": SMALL,
+                "algorithms": ["convex"],
+                "trials": 1,
+                "solver": {"max_iter": 5, field: value},
+            }))
+            assert main(["montecarlo", "--spec", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: solver options: ")
+            assert field in captured.err
+            assert captured.out == ""
 
     def test_zero_restarts_in_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "restarts_spec.json"
@@ -452,6 +471,12 @@ class TestTable1:
         out = capsys.readouterr().out
         assert "n must be >= 2, got -5" in out and "n must be >= 2, got 0" in out
 
+    def test_n_beyond_int64_gives_infeasible_rows(self, capsys):
+        assert main(["table1", "--n-grid", "1e19,1e20", "--examples", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("must lie in the int64 range") == 2
+        assert captured.err == ""
+
     def test_reruns_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
@@ -483,6 +508,8 @@ class TestParser:
         ("classify", "--seed", "1"),
         ("recover", "--constant-C", "2"),
         ("recover", "--eta", "3"),
+        ("recover", "--step", "0"),
+        ("recover", "--threshold", "1.5"),
         ("bench-spectral", "--constant-C", "2"),
         ("bench-spectral", "--eta", "3"),
         ("montecarlo", "--constant-C", "2"),

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsbmlab import (
+    ConfigError,
     ModelConfig,
     Partition,
     RoundingFailure,
-    SolverOptions,
     partitions_equal,
     project_box_sum,
     project_nuclear_ball,
@@ -275,27 +275,21 @@ class TestNuclearNorm:
 
 
 class TestSolverOptions:
+    """max_iter is the solver's one setting; the rest are constants."""
+
     def test_defaults(self):
-        opts = SolverOptions()
-        assert opts.max_iter == 2000
+        assert convex.MAX_ITER == 2000
         assert convex.TOL_FEASIBILITY == 1e-6
         assert convex.TOL_CHANGE == 1e-7
-        assert opts.step == 1.0
-        assert opts.rounding_threshold == 0.5
+        assert convex.ROUNDING_THRESHOLD == 0.5
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iter": 0},
-            {"step": 0.0},
-            {"step": -1.0},
-            {"rounding_threshold": 0.0},
-            {"rounding_threshold": 1.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -1}])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverOptions(**kwargs)
+        cfg = ModelConfig(4, [(2, 0.9), (2, 0.9)], 0.05)
+        with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+            solve_convex(np.zeros((4, 4)), 4.0, 8.0, **kwargs)
+        with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+            recover_convex(np.zeros((4, 4)), cfg, **kwargs)
 
 
 class TestSolveConvex:
@@ -341,7 +335,7 @@ class TestSolveConvex:
         # stop the solver within one iteration.
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=36)
-        res = solve_convex(A, 10.0, 50.0, SolverOptions(max_iter=1))
+        res = solve_convex(A, 10.0, 50.0, max_iter=1)
         assert res.iterations == 1
         assert not res.converged
 
@@ -368,14 +362,8 @@ class TestRounding:
     def test_threshold_is_strict(self):
         Y = np.zeros((2, 2))
         Y[0, 1] = Y[1, 0] = 0.5
-        part = round_solution(Y, threshold=0.5)
+        part = round_solution(Y)
         assert part.labels.tolist() == [0, 0]
-
-    def test_custom_threshold(self):
-        Y = np.zeros((2, 2))
-        Y[0, 1] = Y[1, 0] = 0.8
-        assert round_solution(Y, threshold=0.9).labels.tolist() == [0, 0]
-        assert round_solution(Y, threshold=0.7).labels.tolist() == [1, 1]
 
     def test_bridged_blocks_fail_as_not_clique(self):
         Y = np.kron(np.eye(2), np.ones((2, 2)))
@@ -399,7 +387,7 @@ class TestRecoverConvex:
 
     def test_nonconvergence_path(self):
         A = sample_adjacency(self.CFG, self.CFG.planted_partition(), seed=36)
-        rec = recover_convex(A, self.CFG, SolverOptions(max_iter=1))
+        rec = recover_convex(A, self.CFG, max_iter=1)
         assert not rec.succeeded
         assert rec.partition is None
         assert rec.failure.kind == "nonconvergence"
@@ -492,7 +480,7 @@ class TestCertificate:
             return Y
 
         with mock.patch.object(convex, "project_nuclear_ball", recording):
-            rec = recover_convex(A, cfg, SolverOptions(max_iter=200))
+            rec = recover_convex(A, cfg, max_iter=200)
         assert pairs
         for Z, Y in pairs:
             eig_tau = float(np.abs(np.linalg.eigvalsh(Z - Y)).max())
@@ -500,7 +488,7 @@ class TestCertificate:
             assert math.isclose(tau, eig_tau, rel_tol=1e-9, abs_tol=1e-12)
             eig_bound = radius * eig_tau + top_sum(M - (Z - Y), s)
             assert eig_bound >= best - 1e-9
-            assert math.isclose(dual_bound(M, Z, Y, 1.0, s), eig_bound,
+            assert math.isclose(dual_bound(M, Z, Y, s), eig_bound,
                                 rel_tol=1e-9, abs_tol=1e-9)
         if rec.succeeded and rec.solver.gap < 1.0:
             assert rec.solver.objective == best
@@ -552,6 +540,6 @@ class TestCertificate:
         assert shifted.gap == math.inf
         assert shifted.iterations > 1
         assert shifted.change <= convex.TOL_CHANGE
-        capped = solve_convex(M + 0.25, 10.0, 50.0, SolverOptions(max_iter=3))
+        capped = solve_convex(M + 0.25, 10.0, 50.0, max_iter=3)
         assert capped.iterations == 3 and not capped.converged
         assert capped.gap == math.inf

@@ -5,6 +5,7 @@ trend table, and byte-deterministic persistence."""
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hsbmlab import (
     ConfigError,
     ExperimentSpec,
     ModelConfig,
-    SolverOptions,
     UNOBSERVED,
     classify,
     example_config,
@@ -34,6 +34,7 @@ from hsbmlab import (
     write_table1,
 )
 from hsbmlab import cli, harness
+from hsbmlab.convex import MAX_ITER
 from hsbmlab.harness import FAILURE_KINDS, RESULT_COLUMNS, TABLE_COLUMNS, recover
 
 SMALL = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
@@ -53,7 +54,7 @@ class TestExperimentSpec:
         spec = ExperimentSpec(SMALL, ("convex",), trials=2)
         assert spec.base_seed == 0
         assert spec.config_id == "config"
-        assert spec.solver_options is None
+        assert spec.max_iter == MAX_ITER
         assert spec.restarts == 10
 
     def test_trials_below_one_rejected(self):
@@ -112,7 +113,7 @@ class TestRunTrial:
         # Seed 36 has a fractional relaxation optimum: no certificate can
         # stop the solver within one iteration.
         spec = ExperimentSpec(SMALL, ("convex",), trials=1, base_seed=36,
-                              solver_options=SolverOptions(max_iter=1))
+                              max_iter=1)
         row = run_trial(spec, "convex", 0)
         assert row.success is False
         assert row.failure_kind == "nonconvergence"
@@ -192,22 +193,22 @@ def write_inputs(tmp_path, config, seed):
 
 
 class TestRecover:
-    # kind -> (config, seed, algorithm, solver options, CLI flags, detail
+    # kind -> (config, seed, algorithm, max_iter, CLI flags, detail
     # prefix, CLI exit code).
     CASES = {
-        "none": (SMALL, 0, "convex", None, [], "", 0),
-        "rounding": (SMALL, 34, "convex", None, [], "not_clique: ", 2),
-        "nonconvergence": (SMALL, 36, "convex", SolverOptions(max_iter=1),
+        "none": (SMALL, 0, "convex", MAX_ITER, [], "", 0),
+        "rounding": (SMALL, 34, "convex", MAX_ITER, [], "not_clique: ", 2),
+        "nonconvergence": (SMALL, 36, "convex", 1,
                            ["--max-iter", "1"], "nonconvergence: ", 3),
-        "counting": (SMALL, 2, "counting", None, [], "not_clique: ", 2),
-        "tie": (TIE, 0, "exhaustive", None, [], "tie: ", 0),
+        "counting": (SMALL, 2, "counting", MAX_ITER, [], "not_clique: ", 2),
+        "tie": (TIE, 0, "exhaustive", MAX_ITER, [], "tie: ", 0),
     }
 
     @pytest.mark.parametrize("kind", FAILURE_KINDS)
     def test_failure_kind_detail_and_exit_code(self, kind, tmp_path, capsys):
-        config, seed, algorithm, options, flags, prefix, code = self.CASES[kind]
+        config, seed, algorithm, max_iter, flags, prefix, code = self.CASES[kind]
         graph = sample_adjacency(config, config.planted_partition(), seed)
-        rec = recover(algorithm, graph, config, options)
+        rec = recover(algorithm, graph, config, max_iter)
         assert rec.failure_kind == kind
         assert rec.detail.startswith(prefix)
         assert (rec.detail == "") == (kind == "none")
@@ -399,6 +400,18 @@ class TestRunTable1:
         assert [(r["example"], r["feasible"], r["note"]) for r in rows] == [
             (ex, False, f"n must be >= 2, got {n}") for ex in (1, 6) for n in (-5, 0, 1)
         ]
+
+    def test_n_beyond_int64_gives_infeasible_rows(self):
+        # Cluster sizes of 2**63 or more once raised OverflowError (n = 1e20)
+        # or wrapped to negative sizes with a RuntimeWarning (n = 1e19).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_table1((10**19, 10**20), example_ids=(1,))
+        assert [r["feasible"] for r in rows] == [False, False]
+        for row in rows:
+            assert "cluster sizes must lie in the int64 range" in row["note"]
+        with pytest.raises(ConfigError, match="int64 range"):
+            example_config(1, 10**20)
 
     def test_constant_overrides_change_margins(self):
         base = run_table1((10**5,), example_ids=(2,))[0]
