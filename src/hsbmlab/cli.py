@@ -186,6 +186,14 @@ def cmd_bench_spectral(args) -> int:
     return EXIT_OK
 
 
+def _spec_int(raw: dict, field: str, default: int) -> int:
+    """An integer field of a spec file: a JSON integer, not a bool."""
+    value = raw.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"spec field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _spec_from_file(path: str, args) -> ExperimentSpec:
     with open(path) as fh:
         raw = json.load(fh)
@@ -201,11 +209,11 @@ def _spec_from_file(path: str, args) -> ExperimentSpec:
     return ExperimentSpec(
         config=config,
         algorithms=tuple(raw.get("algorithms", ["convex"])),
-        trials=int(raw.get("trials", 10)),
-        base_seed=int(raw.get("base_seed", args.seed)),
+        trials=_spec_int(raw, "trials", 10),
+        base_seed=_spec_int(raw, "base_seed", args.seed),
         config_id=str(raw.get("config_id", "config")),
         max_iter=max_iter,
-        restarts=int(raw.get("restarts", 10)),
+        restarts=_spec_int(raw, "restarts", 10),
     )
 
 

@@ -69,7 +69,10 @@ class SolverResult:
 
 
 def check_max_iter(max_iter: int = MAX_ITER) -> int:
-    """The iteration cap itself, or a ConfigError when it is below 1."""
+    """The iteration cap itself, or a ConfigError when it is not an integer
+    (bools included) or is below 1."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ConfigError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     return max_iter

@@ -5,7 +5,8 @@ Determinism contract: every emitted artifact is a pure function of the
 experiment specification (config, algorithms, trials, base seed, options).
 Trial i draws its graph from seed base_seed + i, trials are computed
 independently, and rows are sorted by (config id, algorithm, trial) before
-emission, so worker count cannot change any output byte.  Wall-clock
+emission, so worker count cannot change any output byte.  Trials run on
+one BLAS thread at every worker count (see one_blas_thread).  Wall-clock
 timings are recorded on each row but excluded from files unless explicitly
 requested, keeping file bytes run-invariant.
 """
@@ -13,10 +14,14 @@ requested, keeping file bytes run-invariant.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .convex import MAX_ITER, recover_convex
@@ -195,8 +200,60 @@ class MonteCarloResult:
         return self.summary[algorithm]["success_rate"]
 
 
+_blas_lock = threading.Lock()
+_blas_pins = 0
+_blas_saved = 0
+
+
+@functools.cache
+def openblas_thread_calls():
+    """(get, set) for the thread count of the OpenBLAS that numpy.linalg
+    links, or None.  dlsym on the linalg extension also searches the
+    libraries it depends on, so the wheel's file layout does not matter."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count.
+
+    Worker threads supply the parallelism; each BLAS call fanning out as
+    well would oversubscribe the cores.  One worker is pinned too, since
+    eigh's last bits depend on the BLAS thread count.  Overlapping uses
+    share one pin: the first in saves the count and the last out restores
+    it.  A no-op where numpy is not linked to OpenBLAS.
+    """
+    global _blas_pins, _blas_saved
+    get, set_ = openblas_thread_calls() or (lambda: 0, lambda count: None)
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                set_(_blas_saved)
+
+
 def run_monte_carlo(spec: ExperimentSpec, workers: int = 1) -> MonteCarloResult:
-    """Run all (algorithm, trial) pairs, optionally across worker threads.
+    """Run all (algorithm, trial) pairs, optionally across worker threads,
+    each on one BLAS thread (see one_blas_thread).
 
     Output is bit-identical for any worker count: each trial depends only
     on its own seed and rows are sorted before aggregation.
@@ -204,11 +261,12 @@ def run_monte_carlo(spec: ExperimentSpec, workers: int = 1) -> MonteCarloResult:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(alg, t) for alg in spec.algorithms for t in range(spec.trials)]
-    if workers == 1:
-        rows = [run_trial(spec, alg, t) for alg, t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda at: run_trial(spec, *at), tasks))
+    with one_blas_thread():
+        if workers == 1:
+            rows = [run_trial(spec, alg, t) for alg, t in tasks]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(lambda at: run_trial(spec, *at), tasks))
     rows.sort(key=lambda row: (row.config_id, row.algorithm, row.trial))
     summary: dict = {}
     for alg in spec.algorithms:

@@ -397,6 +397,36 @@ class TestMonteCarlo:
         assert "max_iters" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [5.0, True])
+    def test_non_integer_max_iter_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "max_iter_spec.json"
+        path.write_text(json.dumps({
+            "config": SMALL,
+            "algorithms": ["convex"],
+            "trials": 1,
+            "solver": {"max_iter": value},
+        }))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: solver options: max_iter must be an "
+                                f"integer, got {value!r}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", "abc"), ("trials", 2.7), ("trials", True), ("trials", "3"),
+        ("base_seed", 1.5), ("base_seed", None), ("restarts", 2.0),
+    ])
+    def test_malformed_spec_integer_exits_2(self, tmp_path, capsys, field, value):
+        spec = {"config": SMALL, "algorithms": ["local-search"], "trials": 1}
+        spec[field] = value
+        path = tmp_path / "int_spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: spec field {field!r} must be an "
+                                f"integer, got {value!r}\n")
+        assert captured.out == ""
+
     def test_former_solver_field_exits_2(self, tmp_path, capsys):
         # The change-test tolerance, the Douglas-Rachford step and the
         # rounding threshold are constants, not solver options.

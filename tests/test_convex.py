@@ -291,6 +291,14 @@ class TestSolverOptions:
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
             recover_convex(np.zeros((4, 4)), cfg, **kwargs)
 
+    @pytest.mark.parametrize("value", [5.0, True, "5"])
+    def test_non_integer_rejected(self, value):
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            solve_convex(np.zeros((4, 4)), 4.0, 8.0, max_iter=value)
+
+    def test_numpy_integer_accepted(self):
+        assert convex.check_max_iter(np.int64(3)) == 3
+
 
 class TestSolveConvex:
     def test_zero_matrix(self):

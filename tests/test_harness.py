@@ -1,10 +1,11 @@
 """Tests for the Monte Carlo harness: experiment specs, per-trial rows,
-Wilson intervals, aggregation across worker threads, the classification
-trend table, and byte-deterministic persistence."""
+Wilson intervals, aggregation across worker threads, the one-BLAS-thread
+pin, the classification trend table, and byte-deterministic persistence."""
 
 import csv
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -349,6 +350,86 @@ class TestRunMonteCarlo:
         spec = ExperimentSpec(SMALL, ("convex",), trials=1)
         with pytest.raises(ValueError, match="workers"):
             run_monte_carlo(spec, workers=0)
+
+
+BLAS_CALLS = harness.openblas_thread_calls()
+
+
+@pytest.mark.skipif(BLAS_CALLS is None,
+                    reason="numpy.linalg is not linked to OpenBLAS")
+class TestBlasThreads:
+    """run_monte_carlo runs trials on one BLAS thread and restores the
+    count it found, after a raise and under overlapping calls too."""
+
+    SPEC = ExperimentSpec(SMALL, ("counting",), trials=4)
+
+    @pytest.fixture(autouse=True)
+    def three_threads(self):
+        # A count that is neither 1 nor a likely default shows a restore.
+        get, set_ = BLAS_CALLS
+        before = get()
+        set_(3)
+        yield
+        set_(before)
+
+    @staticmethod
+    def fake_recovery(*args, **kwargs):
+        return harness.Recovery(None, "counting", "stub", math.nan)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_see_one_thread(self, monkeypatch, workers):
+        get, _ = BLAS_CALLS
+        seen = []
+
+        def recover(*args, **kwargs):
+            seen.append(get())
+            return self.fake_recovery()
+
+        monkeypatch.setattr(harness, "recover", recover)
+        run_monte_carlo(self.SPEC, workers=workers)
+        assert seen == [1] * self.SPEC.trials
+        assert get() == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_when_a_trial_raises(self, monkeypatch, workers):
+        def recover(*args, **kwargs):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(harness, "recover", recover)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_monte_carlo(self.SPEC, workers=workers)
+        assert BLAS_CALLS[0]() == 3
+
+    def test_overlapping_calls_restore_once(self, monkeypatch):
+        # Both calls enter before either leaves; the first to leave must
+        # not restore the count under the second.
+        get, _ = BLAS_CALLS
+        both_inside = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+        seen_after_first = []
+
+        def recover(algorithm, graph, config, max_iter, seed, restarts):
+            both_inside.wait()
+            if seed == 100:
+                assert first_done.wait(timeout=30)
+                seen_after_first.append(get())
+            return self.fake_recovery()
+
+        def call(base_seed):
+            spec = ExperimentSpec(SMALL, ("counting",), trials=1,
+                                  base_seed=base_seed)
+            run_monte_carlo(spec, workers=1)
+            if base_seed == 0:
+                first_done.set()
+
+        monkeypatch.setattr(harness, "recover", recover)
+        threads = [threading.Thread(target=call, args=(s,)) for s in (0, 100)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert seen_after_first == [1]
+        assert get() == 3
 
 
 class TestRunTable1:
