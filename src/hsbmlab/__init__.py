@@ -74,7 +74,6 @@ from .model import (
     chi_square_div,
     clustering_matrix,
     derived_stats,
-    kl_div,
     partitions_equal,
 )
 from .presets import EXAMPLE_IDS, example6_reference_constants, example_config
@@ -92,11 +91,9 @@ from .regimes import (
 from .spectral import (
     ConcentrationStats,
     SpectralNormError,
-    bernstein_tail,
     block_split_bound,
     concentration_experiment,
     spectral_norm,
-    variance_profile_bound,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ table1.  Configurations come either from a JSON file (--config, schema
 from a preset (--example ID --n N, constants via repeated
 --constant NAME=VALUE).
 
-Exit codes: 0 on success, 2 for infeasible configurations or failed
-recovery, 3 when the convex solver does not converge.
+Exit codes: 0 on success, 2 for infeasible configurations, input files
+that cannot be read or parsed, or failed recovery, 3 when the convex
+solver does not converge.
 """
 
 from __future__ import annotations
@@ -79,16 +80,30 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 CONFIG_SOURCE = ("--gamma", "--config", "--example", "--n", "--constant")
 
 
-def load_config_file(path: str) -> ModelConfig:
+def _read_input(flag: str, path: str, read):
+    """read(path) for the input file a flag names; a file that cannot be
+    opened, decoded or parsed is a ConfigError naming the flag and path."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # malformed JSON, bad encoding, GraphFormatError
+        raise ConfigError(f"{flag} {path}: {exc}") from exc
+
+
+def _json_object(path: str) -> dict:
     with open(path) as fh:
-        return ModelConfig.from_dict(json.load(fh))
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _config_from_args(args) -> ModelConfig:
     if (args.config is None) == (args.example is None):
         raise ConfigError("exactly one of --config or --example is required")
     if args.config is not None:
-        config = load_config_file(args.config)
+        config = ModelConfig.from_dict(_read_input("--config", args.config, _json_object))
     else:
         if args.n is None:
             raise ConfigError("--example requires --n")
@@ -149,7 +164,7 @@ def _max_iter(fields) -> int:
 
 def cmd_recover(args) -> int:
     config = _config_from_args(args)
-    graph = read_graph(args.adjacency)
+    graph = _read_input("--adjacency", args.adjacency, read_graph)
     max_iter = _max_iter({"max_iter": args.max_iter})
     rec = recover(args.algorithm, graph, config, max_iter, seed=args.seed,
                   restarts=args.restarts)
@@ -195,8 +210,7 @@ def _spec_int(raw: dict, field: str, default: int) -> int:
 
 
 def _spec_from_file(path: str, args) -> ExperimentSpec:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_input("--spec", path, _json_object)
     if "example" in raw:
         ex = raw["example"]
         config = example_config(ex["id"], ex["n"], ex.get("constants"))

@@ -94,11 +94,11 @@ def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Counting
     t_iso = isolated_threshold(config)
     t_link = pair_threshold(config)
 
-    degrees = m.sum(axis=1)
-    clustered = degrees >= t_iso
-
-    common = m @ m
-    link = (common > t_link) & clustered[:, None] & clustered[None, :]
+    clustered = m.sum(axis=1) >= t_iso
+    # Neither n x n float array outlives the link matrix, so that reading
+    # the components does not hold them too.
+    link = (m @ m > t_link) & clustered[:, None] & clustered[None, :]
+    del m
     link &= ~np.eye(n, dtype=bool)
 
     labels, flaw = clique_components(link, keep=clustered)

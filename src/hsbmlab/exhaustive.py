@@ -12,20 +12,22 @@ equal-size clusters, labels are assigned in increasing order of each
 cluster's smallest member.  Canonical order is lexicographic in the first
 cluster's member set, then in the second's, and so on.
 
-Partitions are produced in batches: the leading clusters are placed one
-placement at a time, and every canonical placement of the trailing
-clusters (at least the last one) on the nodes left over forms one index
-array, in canonical order.  The scan scores a whole batch with one gather
-per trailing cluster, and the local search scores every candidate swap of
-a step in one array expression.  On a 0/1 (or any integer-valued)
-adjacency that arithmetic is exact, so the winners are those of a
-one-partition-at-a-time, one-pair-at-a-time scan: the first maximum in
-canonical order, and the first maximal swap in row-major order, taken only
-when it improves the mass by more than 1e-12.
+The scan reads every score from one table: the within-set mass of each of
+the 2^n node subsets, indexed by bitmask.  It places the clusters level by
+level, each partition a row of per-cluster bitmasks, expanding a bounded
+chunk of rows at a time in canonical order, and scores a row as the sum of
+its clusters' table entries.  The local search keeps each node's mass into
+each label group, from which the gain of every candidate swap of a step is
+one symmetric matrix.  On a 0/1 (or any integer-valued) adjacency that
+arithmetic is exact, so the winners are those of a one-partition-at-a-time,
+one-pair-at-a-time scan: the first maximum in canonical order, and the
+first maximal swap in row-major order, taken only when it improves the
+mass by more than 1e-12.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,9 +39,9 @@ from .generate import (STREAM_ALGORITHM, Adjacency, as_matrix, config_matrix,
 from .model import ConfigError, ModelConfig, Partition
 
 MAX_EXHAUSTIVE_N = 14
-# The scan scores the placements of its trailing clusters as one batch:
-# as many trailing clusters as have at most this many placements, and
-# always the last cluster (at most C(14, 7) = 3432 choices).
+# The scan expands canonical placements a chunk of rows at a time, at most
+# about this many rows per level (or one parent's placements, at most
+# C(14, 7) = 3432), so its memory does not grow with the partition count.
 _BATCH_ROWS = 4096
 
 
@@ -47,15 +49,9 @@ def partition_count(config: ModelConfig) -> int:
     """Number of distinct ways to place the prescribed clusters in [n]:
     n! / ((n - n_bar)! * prod_k n_k!) divided by prod over repeated sizes
     (equal-size clusters are unordered)."""
-    return _placement_count(config.n, config.sizes.tolist())
-
-
-def _placement_count(n: int, sizes: list[int]) -> int:
-    """partition_count for clusters of the given sizes on n nodes."""
-    total = math.factorial(n)
-    total //= math.factorial(n - sum(sizes))
+    total = math.factorial(config.n) // math.factorial(config.n0)
     mult: dict[int, int] = {}
-    for s in sizes:
+    for s in config.sizes.tolist():
         total //= math.factorial(s)
         mult[s] = mult.get(s, 0) + 1
     for count in mult.values():
@@ -75,38 +71,29 @@ def _log10_partition_count(config: ModelConfig) -> float:
     return total / math.log(10.0)
 
 
-def _placements(nodes: tuple[int, ...], sizes: list[int], prev_size: int = -1,
-                prev_min: int = -1):
-    """Yield every canonical placement of clusters of the given sizes on the
-    sorted nodes, as a tuple of member tuples, in canonical order: the first
-    cluster's member sets in lexicographic order, and for each the
-    placements of the rest.  prev_size and prev_min describe a cluster
-    placed before these, whose equal-size successor must start later."""
-    if not sizes:
-        yield ()
-        return
-    size = sizes[0]
-    for members in itertools.combinations(nodes, size):
-        if size == prev_size and members[0] <= prev_min:
-            continue
-        rest = tuple(x for x in nodes if x not in members)
-        for others in _placements(rest, sizes[1:], size, members[0]):
-            yield (members,) + others
+@functools.cache
+def _choices(left: int, size: int) -> np.ndarray:
+    """Every size-subset of range(left) as a read-only row, in lexicographic
+    order.  The scan's levels take their member sets from these tables, as
+    positions into a row's free nodes.  Cached, because building them from
+    Python tuples on every scan churns the small-object heap; with
+    left <= MAX_EXHAUSTIVE_N the cache holds at most about 2 MB."""
+    table = np.array(list(itertools.combinations(range(left), size)),
+                     dtype=np.intp).reshape(-1, size)
+    table.flags.writeable = False
+    return table
 
 
-def _canonical_batches(config: ModelConfig):
-    """Yield (labels, head, tail) batches that together hold every
-    canonical partition once, in canonical order.
+def _canonical_rows(config: ModelConfig):
+    """Return an iterator over arrays that together hold every canonical
+    partition once, in canonical order: one row per partition, column k the
+    bitmask (bit i for node i) of cluster k + 1's members.
 
-    The clusters split into a head, placed one placement at a time, and a
-    tail of trailing clusters (at least the last one), all of whose
-    placements on the nodes the head leaves over are one batch.  The tail is
-    the longest whose placements number at most _BATCH_ROWS.  head is a
-    tuple of member tuples; labels marks them with labels 1..len(head), 0
-    elsewhere, and is reused between yields.  tail is an int array with one
-    row per canonical placement of the tail clusters, in canonical order,
-    each row the members of cluster len(head) + 1, then of the next, and so
-    on; it may have no rows.
+    Level k places cluster k + 1 on each row's free nodes, every member set
+    in lexicographic order, skipping a set whose smallest member does not
+    exceed that of an equal-size cluster k just before it.  A chunk of rows
+    is expanded and its children placed depth-first, so rows come out in
+    canonical order and no level holds much more than _BATCH_ROWS of them.
     """
     n = config.n
     if n > MAX_EXHAUSTIVE_N:
@@ -116,38 +103,40 @@ def _canonical_batches(config: ModelConfig):
             f"admissible partitions)"
         )
     sizes = config.sizes.tolist()
-    k = len(sizes) - 1
-    while (k > 0 and _placement_count(n - sum(sizes[:k - 1]), sizes[k - 1:])
-           <= _BATCH_ROWS):
-        k -= 1
-    # The tail's placements as positions into the nodes left over; they map
-    # onto the nodes in increasing order, so canonical order carries over.
-    left = tuple(range(n - sum(sizes[:k])))
-    table = np.array([sum(p, ()) for p in _placements(left, sizes[k:])],
-                     dtype=np.intp).reshape(-1, sum(sizes[k:]))
-    labels = np.zeros(n, dtype=np.int32)
-    for head in _placements(tuple(range(n)), sizes[:k]):
-        for label, members in enumerate(head, start=1):
-            labels[list(members)] = label
-        tail = np.flatnonzero(labels == 0)[table]
-        if k and sizes[k] == sizes[k - 1]:
-            tail = tail[tail[:, 0] > head[-1][0]]
-        yield labels, head, tail
-        labels[:] = 0
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    choices = [_choices(n - sum(sizes[:k]), s) for k, s in enumerate(sizes)]
+
+    def expand(rows: np.ndarray, level: int):
+        if level == len(sizes):
+            yield rows
+            return
+        pos = choices[level]
+        equal_prev = level > 0 and sizes[level] == sizes[level - 1]
+        step = max(1, _BATCH_ROWS // len(pos))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            used = np.bitwise_or.reduce(chunk, axis=1)
+            free = bit[np.nonzero(bit & ~used[:, None])[1]].reshape(len(chunk), -1)
+            first = free[:, pos[:, 0]]
+            mask = first.copy()
+            for column in pos.T[1:]:
+                mask += free[:, column]
+            child = np.concatenate([np.repeat(chunk, len(pos), axis=0),
+                                    mask.reshape(-1, 1)], axis=1)
+            if equal_prev:
+                prev = chunk[:, -1:]
+                child = child[(first > prev & -prev).ravel()]
+            if len(child):
+                yield from expand(child, level + 1)
+
+    return expand(np.zeros((1, 0), dtype=np.int64), 0)
 
 
-def _tail_labels(config: ModelConfig, heads: int) -> np.ndarray:
-    """Label of each column of a tail row after a head of that many clusters."""
-    return np.repeat(np.arange(heads + 1, config.r + 1, dtype=np.int32),
-                     config.sizes[heads:])
-
-
-def _complete(labels: np.ndarray, tail_labels: np.ndarray, row: np.ndarray) -> Partition:
-    """The partition that adds one tail placement to the head's labels."""
-    labels[row] = tail_labels
-    part = Partition(labels)
-    labels[row] = 0
-    return part
+def _labels(rows: np.ndarray, n: int) -> np.ndarray:
+    """Label array of each row of cluster bitmasks: cluster k + 1's members
+    (column k) get label k + 1, the other nodes 0."""
+    bits = (rows[:, :, None] >> np.arange(n)) & 1
+    return (bits * np.arange(1, rows.shape[1] + 1)[:, None]).sum(axis=1)
 
 
 def enumerate_partitions(config: ModelConfig):
@@ -156,12 +145,11 @@ def enumerate_partitions(config: ModelConfig):
     Guarded to n <= MAX_EXHAUSTIVE_N.  Labels follow the configuration's
     cluster order; among equal-size clusters the smallest members increase
     with the label, which deduplicates exchangeable assignments.  This is
-    the batched enumeration of the scan, expanded one partition at a time.
+    the enumeration of the scan, expanded one partition at a time.
     """
-    for labels, head, tail in _canonical_batches(config):
-        tail_labels = _tail_labels(config, len(head))
-        for row in tail:
-            yield _complete(labels, tail_labels, row)
+    for rows in _canonical_rows(config):
+        for labels in _labels(rows, config.n):
+            yield Partition(labels)
 
 
 def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
@@ -176,6 +164,24 @@ def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
         members = np.flatnonzero(labels == label)
         total += int(m[np.ix_(members, members)].sum())
     return total
+
+
+def _mass_table(m: np.ndarray) -> np.ndarray:
+    """Within-set mass of every node subset, indexed by its bitmask,
+    summed in the dtype numpy sums m in and truncated to int64 as
+    ``objective`` truncates each cluster's mass.
+
+    The subsets whose top node is h are those below h with h added, which
+    adds h's mass to and from each member and m[h, h]."""
+    dtype = m[:0, :0].sum().dtype
+    table = np.zeros(1, dtype=dtype)
+    for h in range(m.shape[0]):
+        weight = m[h].astype(dtype) + m[:, h]
+        link = np.zeros(1, dtype=dtype)
+        for j in range(h):
+            link = np.concatenate([link, link + weight[j]])
+        table = np.concatenate([table, table + link + m[h, h]])
+    return table.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,30 +210,22 @@ def solve_exhaustive(
     """Scan all admissible partitions for the maximal within-cluster edge
     mass.
 
-    Each batch of the canonical enumeration is scored at once: the leading
-    clusters' mass plus each trailing cluster's mass, gathered for every
-    row of the batch, with each cluster's mass truncated to an integer as
-    ``objective`` does.  Deterministic: the returned partition is the first
-    maximizer in canonical order, and the stored ties (the first one always,
-    then up to tie_cap in all) are the maximizers in that order.
+    Each batch of the canonical enumeration is scored at once, every row as
+    the sum of its clusters' entries in the subset-mass table.
+    Deterministic: the returned partition is the first maximizer in
+    canonical order, and the stored ties (the first one always, then up to
+    tie_cap in all) are the maximizers in that order.
     """
     m = config_matrix(A, config)
+    batches = _canonical_rows(config)  # refuses n > MAX_EXHAUSTIVE_N first
+    mass = _mass_table(m)
     best_val = -1
     ties: list[Partition] = []
     tie_count = 0
     examined = 0
-    sizes = config.sizes.tolist()
-    for labels, head, tail in _canonical_batches(config):
-        if not len(tail):
-            continue
-        examined += len(tail)
-        scores = sum(int(m[np.ix_(c, c)].sum()) for c in head)
-        start = 0
-        for size in sizes[len(head):]:
-            c = tail[:, start:start + size]
-            block = m[c[:, :, None], c[:, None, :]]
-            scores = scores + block.sum(axis=(1, 2)).astype(np.int64)
-            start += size
+    for rows in batches:
+        examined += len(rows)
+        scores = mass[rows].sum(axis=1)
         top = int(scores.max())
         if top > best_val:
             best_val, ties, tie_count = top, [], 0
@@ -235,8 +233,7 @@ def solve_exhaustive(
             hits = np.flatnonzero(scores == top)
             tie_count += len(hits)
             room = max(tie_cap - len(ties), 0 if ties else 1)
-            tail_labels = _tail_labels(config, len(head))
-            ties += [_complete(labels, tail_labels, tail[i]) for i in hits[:room]]
+            ties += map(Partition, _labels(rows[hits[:room]], config.n))
     return ExhaustiveResult(
         partition=ties[0],
         objective=int(best_val),
@@ -259,33 +256,44 @@ class LocalSearchResult:
 def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, int]:
     """Best-improvement label-swap ascent on the within-cluster edge mass.
 
-    D[x, g] caches node x's adjacency mass into label group g; swapping the
-    labels a of u and b of v changes the (unordered) mass by
-    (D[v,a] - D[u,a] - A_uv)[a>0] + (D[u,b] - D[v,b] - A_uv)[b>0].
-    Each step evaluates that gain for every pair u < v with a != b as one
-    array expression and takes the first maximum in row-major order; the
-    swap is made only if its gain exceeds 1e-12.  Swaps stop when none does.
+    D[x, g] caches node x's adjacency mass into label group g.  With
+    R[x, g] = [g > 0] D[x, g] - [x clustered] D[x, label x] and
+    H[u, v] = R[u, label v] - [v clustered] m[u, v], swapping the labels
+    of u and v changes the (unordered) mass by G[u, v] = H[u, v] + H[v, u].
+    G is symmetric, and on a symmetric m >= 0 its diagonal and same-label
+    entries are <= 0, so a first maximum of all of G in row-major order
+    that exceeds 1e-12 is the first maximal swap u < v of different labels.
+    The swap is made only then; swaps stop when the maximum is no larger.
+
+    D and R are held transposed, one row per label group, so that H^T is
+    a gather of whole rows.
     """
     n = m.shape[0]
+    nodes = np.arange(n)
     onehot = np.zeros((n, r + 1))
-    onehot[np.arange(n), labels] = 1.0
-    D = m @ onehot
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    onehot[nodes, labels] = 1.0
+    DT = np.ascontiguousarray((m @ onehot).T)
+    # m with the rows of isolated nodes zeroed, so that
+    # H^T = R^T[labels] - m_clustered.
+    m_clustered = m * (labels != 0)[:, None]
     swaps = 0
     while True:
-        into = D[:, labels]  # into[x, y] = D[x, label of y]
-        own = np.diagonal(into)
-        clustered = labels != 0
-        gain = (into.T - own[:, None] - m) * clustered[:, None]
-        gain += (into - own[None, :] - m) * clustered[None, :]
-        gain[~upper | (labels[:, None] == labels[None, :])] = -np.inf
+        own = DT[labels, nodes] * (labels != 0)
+        RT = DT - own
+        RT[0] = -own
+        HT = RT[labels]
+        HT -= m_clustered
+        gain = HT + HT.T
         u, v = divmod(int(np.argmax(gain)), n)
         if not gain[u, v] > 1e-12:
             return labels, swaps
         a, b = labels[u], labels[v]
         labels[u], labels[v] = b, a
-        D[:, a] += m[:, v] - m[:, u]
-        D[:, b] += m[:, u] - m[:, v]
+        DT[a] += m[v] - m[u]
+        DT[b] += m[u] - m[v]
+        if not (a and b):
+            m_clustered[u] = m[u] if b else 0.0
+            m_clustered[v] = m[v] if a else 0.0
         swaps += 1
 
 
@@ -296,10 +304,14 @@ def local_search(
     restarts: int = 10,
 ) -> LocalSearchResult:
     """Randomly seeded best-improvement swap search; keeps the best local
-    optimum over the given number of restarts.  Deterministic under seed."""
+    optimum over the given number of restarts.  Deterministic under seed.
+    The matrix must be symmetric with no negative entry."""
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     m = config_matrix(A, config).astype(float)
+    if (m < 0).any() or not np.array_equal(m, m.T):
+        raise ConfigError(
+            "local search needs a symmetric matrix without negative entries")
     n = m.shape[0]
     rng = stream_rng(seed, STREAM_ALGORITHM)
     template = config.planted_partition().labels

@@ -408,25 +408,6 @@ def chi_square_div(p, q):
     return float(out) if out.ndim == 0 else out
 
 
-def kl_div(p, q):
-    """Bernoulli Kullback-Leibler divergence KL(p || q).
-
-    p log(p/q) + (1-p) log((1-p)/(1-q)), with the 0 log 0 = 0 convention.
-    Requires q in (0, 1).  Always <= chi_square_div(p, q).
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any((q <= 0.0) | (q >= 1.0)):
-        raise ValueError("q must lie strictly inside (0, 1)")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("p must lie in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(p > 0.0, p * np.log(p / q), 0.0)
-        t2 = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
-    out = t1 + t2
-    return float(out) if out.ndim == 0 else out
-
-
 def clustering_matrix(partition: Partition) -> np.ndarray:
     """0/1 matrix with Y_ij = 1 iff i and j share a nonzero label.
 

@@ -3,12 +3,9 @@ adjacency matrices.
 
 ``block_split_bound`` bounds ||A - E[A]|| by treating the diagonal cluster
 blocks and the ambient remainder separately:
-max_i sqrt(p_i (1-p_i) n_i) + sqrt(max(q (1-q) n, log n)).
-``variance_profile_bound`` is the alternative 4 (1+eps) max(sigma_max,
-sigma_0) + t form, whose probability statement involves an unknown
-universal constant c_eps (default 1; treat the value as indicative, not
-sharp).  The bench samples centered adjacencies and reports the empirical
-norm-to-bound ratios.
+max_i sqrt(p_i (1-p_i) n_i) + sqrt(max(q (1-q) n, log n)).  The bench
+samples centered adjacencies and reports the empirical norm-to-bound
+ratios.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from .generate import (
     sample_adjacency,
     stream_rng,
 )
-from .model import ConfigError, ModelConfig, derived_stats
+from .model import ConfigError, ModelConfig
 
 BENCH_REL_TOL = 1e-8
 
@@ -91,43 +88,6 @@ def block_split_bound(config: ModelConfig) -> float:
     block_term = float(np.sqrt(probs * (1.0 - probs) * sizes).max())
     ambient = max(q * (1.0 - q) * config.n, math.log(config.n))
     return block_term + math.sqrt(ambient)
-
-
-def variance_profile_bound(
-    config: ModelConfig,
-    epsilon: float,
-    t: float | None = None,
-    c_eps: float = 1.0,
-) -> float:
-    """Variance-profile bound 4 (1+epsilon) max(sigma_max, sigma_0) + t.
-
-    When t is omitted it is taken as sqrt(2 c_eps log n), the deviation
-    level at which the bound's failure probability decays polynomially;
-    c_eps is an unknown universal constant, defaulted to 1 and exposed so
-    callers can report ratios rather than trust the absolute level.
-    """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5], got {epsilon}")
-    if t is None:
-        t = math.sqrt(2.0 * c_eps * math.log(config.n))
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    st = derived_stats(config)
-    sigma_peak = max(math.sqrt(st.sigma_max_sq), math.sqrt(st.sigma0_sq))
-    return 4.0 * (1.0 + epsilon) * sigma_peak + t
-
-
-def bernstein_tail(t: float, variance: float, L: float) -> float:
-    """Two-sided Bernstein tail bound 2 exp(-t^2/2 / (variance + L t / 3)),
-    clipped to [0, 1]."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if variance < 0.0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
-    if L <= 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    value = 2.0 * math.exp(-(t * t) / 2.0 / (variance + L * t / 3.0))
-    return float(min(1.0, value))
 
 
 @dataclass(frozen=True, eq=False)

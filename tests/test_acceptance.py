@@ -16,11 +16,12 @@ import pytest
 
 from test_convex import (bisection_box_sum_projection, oracle_box_sum_projection,
                          oracle_nuclear_projection)
+from test_model import kl_div
+from test_spectral import bernstein_tail
 
 from hsbmlab import (
     ExperimentSpec,
     ModelConfig,
-    bernstein_tail,
     block_split_bound,
     check_easy_clusterwise,
     check_easy_global,
@@ -32,7 +33,6 @@ from hsbmlab import (
     concentration_experiment,
     derived_stats,
     isolated_threshold,
-    kl_div,
     objective,
     pair_threshold,
     project_box_sum,

@@ -471,6 +471,64 @@ class TestMonteCarlo:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputFiles:
+    """A --config, --spec or --adjacency file that is missing, unreadable
+    or malformed prints `error: FLAG PATH: reason` and exits 2."""
+
+    CASES = {
+        "missing": (None, "No such file or directory"),
+        "truncated-json": ('{"config": ', "Expecting value"),
+        "list-json": ("[1, 2]", "expected a JSON object, got list"),
+        "number-json": ("5", "expected a JSON object, got int"),
+        "not-utf8": (b"\xff\xfe", "can't decode"),
+    }
+    GRAPHS = {
+        "missing": (None, "No such file or directory"),
+        "bare-header": ("2\n", "header must be 'n m', got '2'"),
+        "short-header": ("10 3\n0 1\n", "header promises 3 pair lines"),
+        "non-integer-pair": ("10 1\na b\n", "invalid literal for int()"),
+    }
+
+    @staticmethod
+    def write(tmp_path, content):
+        path = tmp_path / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        return str(path)
+
+    def check(self, argv, flag, path, reason, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} {path}: ")
+        assert reason in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("command", ["classify", "generate", "recover"])
+    def test_config_file(self, tmp_path, small_graph, command, case, capsys):
+        content, reason = self.CASES[case]
+        path = self.write(tmp_path, content)
+        extra = {"classify": [], "generate": ["--out", str(tmp_path / "g")],
+                 "recover": ["--adjacency", small_graph]}[command]
+        self.check([command, "--config", path, *extra], "--config", path, reason,
+                   capsys)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_spec_file(self, tmp_path, case, capsys):
+        content, reason = self.CASES[case]
+        path = self.write(tmp_path, content)
+        self.check(["montecarlo", "--spec", path], "--spec", path, reason, capsys)
+
+    @pytest.mark.parametrize("case", GRAPHS)
+    def test_adjacency_file(self, tmp_path, small_config, case, capsys):
+        content, reason = self.GRAPHS[case]
+        path = self.write(tmp_path, content)
+        self.check(["recover", "--config", small_config, "--adjacency", path],
+                   "--adjacency", path, reason, capsys)
+
+
 class TestTable1:
     def test_csv_file(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -21,6 +21,7 @@ from hsbmlab import (
     sample_adjacency,
     solve_exhaustive,
 )
+from hsbmlab.exhaustive import _hill_climb, _mass_table
 from hsbmlab.generate import Adjacency, as_matrix
 
 REL = 1e-12
@@ -77,6 +78,162 @@ def key(partition):
 def digest(labels):
     """Short hash of a label array (or of concatenated label arrays)."""
     return hashlib.sha256(np.asarray(labels, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+# -- oracles ----------------------------------------------------------------
+# The scan and the swap search as the library ran them before it scored from
+# the subset-mass table and the symmetric gain matrix: placements as member
+# tuples, batches of trailing clusters scored by gathering their blocks, and
+# every swap gain computed and masked to the upper triangle of different
+# labels.  The library must give exactly their results.
+
+ORACLE_BATCH_ROWS = 4096
+
+
+def oracle_placement_count(n, sizes):
+    total = math.factorial(n) // math.factorial(n - sum(sizes))
+    mult = {}
+    for s in sizes:
+        total //= math.factorial(s)
+        mult[s] = mult.get(s, 0) + 1
+    for count in mult.values():
+        total //= math.factorial(count)
+    return total
+
+
+def oracle_placements(nodes, sizes, prev_size=-1, prev_min=-1):
+    """Every canonical placement of the clusters on the sorted nodes, as
+    member tuples: the first cluster's member sets in lexicographic order,
+    an equal-size successor starting after its predecessor."""
+    if not sizes:
+        yield ()
+        return
+    size = sizes[0]
+    for members in itertools.combinations(nodes, size):
+        if size == prev_size and members[0] <= prev_min:
+            continue
+        rest = tuple(x for x in nodes if x not in members)
+        for others in oracle_placements(rest, sizes[1:], size, members[0]):
+            yield (members,) + others
+
+
+def oracle_batches(config):
+    """(labels, head, tail) batches: leading clusters placed one placement
+    at a time, every placement of the trailing ones as rows of tail."""
+    n = config.n
+    sizes = config.sizes.tolist()
+    k = len(sizes) - 1
+    while (k > 0 and oracle_placement_count(n - sum(sizes[:k - 1]), sizes[k - 1:])
+           <= ORACLE_BATCH_ROWS):
+        k -= 1
+    left = tuple(range(n - sum(sizes[:k])))
+    table = np.array([sum(p, ()) for p in oracle_placements(left, sizes[k:])],
+                     dtype=np.intp).reshape(-1, sum(sizes[k:]))
+    labels = np.zeros(n, dtype=np.int32)
+    for head in oracle_placements(tuple(range(n)), sizes[:k]):
+        for label, members in enumerate(head, start=1):
+            labels[list(members)] = label
+        tail = np.flatnonzero(labels == 0)[table]
+        if k and sizes[k] == sizes[k - 1]:
+            tail = tail[tail[:, 0] > head[-1][0]]
+        yield labels, head, tail
+        labels[:] = 0
+
+
+def oracle_complete(labels, config, heads, row):
+    labels[row] = np.repeat(np.arange(heads + 1, config.r + 1), config.sizes[heads:])
+    out = labels.tolist()
+    labels[row] = 0
+    return out
+
+
+def oracle_partitions(config):
+    """Every canonical partition's labels, in canonical order."""
+    for labels, head, tail in oracle_batches(config):
+        for row in tail:
+            yield oracle_complete(labels, config, len(head), row)
+
+
+def oracle_scan(m, config, tie_cap=64):
+    """(objective, tie_count, ties as label lists, partitions_examined) of
+    the batched scan, each cluster's mass truncated to an integer."""
+    best_val, ties, tie_count, examined = -1, [], 0, 0
+    sizes = config.sizes.tolist()
+    for labels, head, tail in oracle_batches(config):
+        if not len(tail):
+            continue
+        examined += len(tail)
+        scores = sum(int(m[np.ix_(c, c)].sum()) for c in head)
+        start = 0
+        for size in sizes[len(head):]:
+            c = tail[:, start:start + size]
+            block = m[c[:, :, None], c[:, None, :]]
+            scores = scores + block.sum(axis=(1, 2)).astype(np.int64)
+            start += size
+        top = int(scores.max())
+        if top > best_val:
+            best_val, ties, tie_count = top, [], 0
+        if top == best_val:
+            hits = np.flatnonzero(scores == top)
+            tie_count += len(hits)
+            room = max(tie_cap - len(ties), 0 if ties else 1)
+            ties += [oracle_complete(labels, config, len(head), tail[i])
+                     for i in hits[:room]]
+    return best_val, tie_count, ties, examined
+
+
+def oracle_hill_climb(m, labels, r):
+    """Swap ascent with every gain of a step computed, masked to pairs
+    u < v of different labels, and the first maximum taken if it exceeds
+    1e-12.  Returns the final labels and the number of swaps."""
+    n = m.shape[0]
+    onehot = np.zeros((n, r + 1))
+    onehot[np.arange(n), labels] = 1.0
+    D = m @ onehot
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    swaps = 0
+    while True:
+        into = D[:, labels]  # into[x, y] = D[x, label of y]
+        own = np.diagonal(into)
+        clustered = labels != 0
+        gain = (into.T - own[:, None] - m) * clustered[:, None]
+        gain += (into - own[None, :] - m) * clustered[None, :]
+        gain[~upper | (labels[:, None] == labels[None, :])] = -np.inf
+        u, v = divmod(int(np.argmax(gain)), n)
+        if not gain[u, v] > 1e-12:
+            return labels, swaps
+        a, b = labels[u], labels[v]
+        labels[u], labels[v] = b, a
+        D[:, a] += m[:, v] - m[:, u]
+        D[:, b] += m[:, u] - m[:, v]
+        swaps += 1
+
+
+def random_sizes(rng, n, r_max):
+    """Cluster sizes for n nodes: up to r_max clusters, often with runs of
+    equal sizes, sometimes with nodes left isolated."""
+    sizes = []
+    while len(sizes) < r_max and sum(sizes) < n:
+        if sizes and rng.random() < 0.4:
+            size = sizes[-1]
+        else:
+            size = int(rng.integers(1, max(1, (n - sum(sizes)) // 3) + 2))
+        if sum(sizes) + size > n:
+            break
+        sizes.append(size)
+        if rng.random() < 0.15:
+            break
+    return sizes or [n]
+
+
+def random_graph(rng, config):
+    """A graph drawn from the config with random within-cluster
+    probabilities, so that some draws tie and some do not."""
+    probs = rng.uniform(0.1, 1.0, size=config.r)
+    cfg = ModelConfig(config.n, list(zip(config.sizes.tolist(), probs)),
+                      float(rng.uniform(0.0, probs.min())))
+    return sample_adjacency(cfg, cfg.planted_partition(),
+                            int(rng.integers(1 << 30))).matrix
 
 
 BENCH200 = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05)
@@ -355,6 +512,85 @@ class TestLocalSearch:
             local_search(A, cfg, seed=0, restarts=0)
         with pytest.raises(ConfigError):
             local_search(np.zeros((4, 4)), cfg, seed=0)
+
+    @pytest.mark.parametrize("pair", [(-1.0, -1.0), (0.0, 1.0)])
+    def test_refuses_negative_or_asymmetric_matrix(self, pair):
+        # Each step reads only the maximum of a symmetric gain matrix, which
+        # is the best swap only on a symmetric matrix without negative
+        # entries; a negative entry gives a same-label "swap" a positive gain.
+        cfg = ModelConfig(4, [(2, 0.9), (2, 0.9)], 0.1)
+        m = np.ones((4, 4)) - np.eye(4)
+        m[0, 1], m[1, 0] = pair
+        with pytest.raises(ConfigError, match="symmetric matrix without negative"):
+            local_search(m, cfg, seed=0)
+
+
+class TestAgainstOracles:
+    """The table-scored scan and the symmetric-gain search give exactly the
+    results of the batched scan and the masked search, on seeded random
+    configurations with isolated nodes and runs of equal sizes."""
+
+    @staticmethod
+    def scan_case(seed):
+        """A config of up to 6 clusters on at most 12 nodes with at most
+        300,000 ordered placements, and an integer matrix for it: a 0/1
+        graph, or symmetric weights 0..3 with a diagonal, as int8, int64 or
+        float64."""
+        rng = np.random.default_rng(1100 + seed)
+        while True:
+            n = int(rng.integers(2, 13))
+            sizes = random_sizes(rng, n, 6)
+            ordered = math.factorial(n) // math.factorial(n - sum(sizes))
+            ordered //= math.prod(math.factorial(s) for s in sizes)
+            if ordered <= 300_000:
+                break
+        config = ModelConfig(n, [(s, 0.5) for s in sizes], 0.1)
+        if seed % 2:
+            m = random_graph(rng, config)
+        else:
+            m = np.triu(rng.integers(0, 4, size=(n, n)))
+            m = m + np.triu(m, 1).T
+        return config, m.astype((np.int8, np.int64, np.float64)[seed % 3])
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_scan(self, seed):
+        config, m = self.scan_case(seed)
+        for tie_cap in (64, 3):
+            res = solve_exhaustive(m, config, tie_cap=tie_cap)
+            got = (res.objective, res.tie_count, [t.labels.tolist() for t in res.ties],
+                   res.partitions_examined)
+            assert got == oracle_scan(m, config, tie_cap)
+
+    @pytest.mark.parametrize("seed", range(0, 36, 3))
+    def test_enumeration_order(self, seed):
+        config, _ = self.scan_case(seed)
+        got = (p.labels.tolist() for p in enumerate_partitions(config))
+        assert list(got) == list(oracle_partitions(config))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_hill_climb(self, seed):
+        rng = np.random.default_rng(2100 + seed)
+        n = int(rng.integers(20, 121))
+        config = ModelConfig(n, [(s, 0.5) for s in random_sizes(rng, n, 4)], 0.1)
+        m = random_graph(rng, config).astype(float)
+        template = config.planted_partition().labels
+        for _ in range(2):
+            start = template[rng.permutation(n)]
+            labels, swaps = _hill_climb(m, start.copy(), config.r)
+            want_labels, want_swaps = oracle_hill_climb(m, start.copy(), config.r)
+            assert (labels.tolist(), swaps) == (want_labels.tolist(), want_swaps)
+
+    def test_mass_table_matches_objective(self):
+        rng = np.random.default_rng(41)
+        for trial in range(24):
+            n = int(rng.integers(1, 13))
+            m = rng.integers(0, 4, size=(n, n))  # not symmetric, with a diagonal
+            m = m.astype((np.int8, np.int64, np.float64)[trial % 3])
+            table = _mass_table(m)
+            assert table.shape == (2**n,) and table.dtype == np.int64
+            for mask in rng.integers(0, 2**n, size=20).tolist():
+                labels = [(mask >> i) & 1 for i in range(n)]
+                assert table[mask] == objective(m, Partition(labels))
 
 
 class TestFrozenOutputs:

@@ -20,7 +20,6 @@ from hsbmlab import (
     derived_stats,
     example6_reference_constants,
     example_config,
-    kl_div,
     partitions_equal,
 )
 from hsbmlab.model import clique_components, cross_pair_peak
@@ -300,6 +299,26 @@ class TestDerivedStats:
 
 
 # -- divergences ------------------------------------------------------------
+
+
+def kl_div(p, q):
+    """Bernoulli Kullback-Leibler divergence KL(p || q).
+
+    p log(p/q) + (1-p) log((1-p)/(1-q)), with the 0 log 0 = 0 convention.
+    Requires q in (0, 1).  Always <= chi_square_div(p, q); the
+    library only needs the chi-square form, so KL is the reference here.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if np.any((q <= 0.0) | (q >= 1.0)):
+        raise ValueError("q must lie strictly inside (0, 1)")
+    if np.any((p < 0.0) | (p > 1.0)):
+        raise ValueError("p must lie in [0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(p > 0.0, p * np.log(p / q), 0.0)
+        t2 = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
+    out = t1 + t2
+    return float(out) if out.ndim == 0 else out
 
 
 class TestDivergences:

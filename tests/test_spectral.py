@@ -9,11 +9,10 @@ from hsbmlab import (
     ConfigError,
     ModelConfig,
     SpectralNormError,
-    bernstein_tail,
     block_split_bound,
     concentration_experiment,
+    derived_stats,
     spectral_norm,
-    variance_profile_bound,
 )
 
 REL = 1e-12
@@ -21,6 +20,48 @@ REL = 1e-12
 
 def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+
+
+# -- reference bounds -------------------------------------------------------
+# Two textbook bounds that nothing in the library evaluates; kept here to
+# cross-check block_split_bound and the constants of criterion 1.
+
+
+def variance_profile_bound(
+    config: ModelConfig,
+    epsilon: float,
+    t: float | None = None,
+    c_eps: float = 1.0,
+) -> float:
+    """Variance-profile bound 4 (1+epsilon) max(sigma_max, sigma_0) + t.
+
+    When t is omitted it is taken as sqrt(2 c_eps log n), the deviation
+    level at which the bound's failure probability decays polynomially;
+    c_eps is an unknown universal constant, defaulted to 1 and exposed so
+    callers can report ratios rather than trust the absolute level.
+    """
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5], got {epsilon}")
+    if t is None:
+        t = math.sqrt(2.0 * c_eps * math.log(config.n))
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    st = derived_stats(config)
+    sigma_peak = max(math.sqrt(st.sigma_max_sq), math.sqrt(st.sigma0_sq))
+    return 4.0 * (1.0 + epsilon) * sigma_peak + t
+
+
+def bernstein_tail(t: float, variance: float, L: float) -> float:
+    """Two-sided Bernstein tail bound 2 exp(-t^2/2 / (variance + L t / 3)),
+    clipped to [0, 1]."""
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if variance < 0.0:
+        raise ValueError(f"variance must be nonnegative, got {variance}")
+    if L <= 0.0:
+        raise ValueError(f"L must be positive, got {L}")
+    value = 2.0 * math.exp(-(t * t) / 2.0 / (variance + L * t / 3.0))
+    return float(min(1.0, value))
 
 
 class TestSpectralNorm:
