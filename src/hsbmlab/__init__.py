@@ -90,10 +90,8 @@ from .regimes import (
 )
 from .spectral import (
     ConcentrationStats,
-    SpectralNormError,
     block_split_bound,
     concentration_experiment,
-    spectral_norm,
 )
 
 __version__ = "0.1.0"

@@ -7,8 +7,8 @@ from a preset (--example ID --n N, constants via repeated
 --constant NAME=VALUE).
 
 Exit codes: 0 on success, 2 for infeasible configurations, input files
-that cannot be read or parsed, or failed recovery, 3 when the convex
-solver does not converge.
+that cannot be read or parsed, --out files that cannot be written, or
+failed recovery, 3 when the convex solver does not converge.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 CONFIG_SOURCE = ("--gamma", "--config", "--example", "--n", "--constant")
 
 
-def _read_input(flag: str, path: str, read):
-    """read(path) for the input file a flag names; a file that cannot be
-    opened, decoded or parsed is a ConfigError naming the flag and path."""
+def _on_file(flag: str, path: str, use):
+    """use(path) for the file a flag names; a file that cannot be opened,
+    written, decoded or parsed is a ConfigError naming the flag and path."""
     try:
-        return read(path)
+        return use(path)
     except OSError as exc:
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # malformed JSON, bad encoding, GraphFormatError
@@ -103,7 +103,7 @@ def _config_from_args(args) -> ModelConfig:
     if (args.config is None) == (args.example is None):
         raise ConfigError("exactly one of --config or --example is required")
     if args.config is not None:
-        config = ModelConfig.from_dict(_read_input("--config", args.config, _json_object))
+        config = ModelConfig.from_dict(_on_file("--config", args.config, _json_object))
     else:
         if args.n is None:
             raise ConfigError("--example requires --n")
@@ -121,9 +121,12 @@ def _with_gamma(config: ModelConfig, gamma: float | None) -> ModelConfig:
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         print(text)
-    else:
-        with open(out, "w") as fh:
+        return
+
+    def write(path):
+        with open(path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    _on_file("--out", out, write)
 
 
 def cmd_generate(args) -> int:
@@ -132,9 +135,10 @@ def cmd_generate(args) -> int:
     if args.out is None:
         raise ConfigError("generate requires --out")
     if config.gamma < 1.0:
-        write_observed(args.out, sample_observed(config, partition, args.seed))
+        graph, write = sample_observed(config, partition, args.seed), write_observed
     else:
-        write_adjacency(args.out, sample_adjacency(config, partition, args.seed))
+        graph, write = sample_adjacency(config, partition, args.seed), write_adjacency
+    _on_file("--out", args.out, lambda path: write(path, graph))
     print(f"wrote {args.out} (n={config.n}, gamma={config.gamma:g}, seed={args.seed})")
     return EXIT_OK
 
@@ -164,7 +168,7 @@ def _max_iter(fields) -> int:
 
 def cmd_recover(args) -> int:
     config = _config_from_args(args)
-    graph = _read_input("--adjacency", args.adjacency, read_graph)
+    graph = _on_file("--adjacency", args.adjacency, read_graph)
     max_iter = _max_iter({"max_iter": args.max_iter})
     rec = recover(args.algorithm, graph, config, max_iter, seed=args.seed,
                   restarts=args.restarts)
@@ -210,7 +214,7 @@ def _spec_int(raw: dict, field: str, default: int) -> int:
 
 
 def _spec_from_file(path: str, args) -> ExperimentSpec:
-    raw = _read_input("--spec", path, _json_object)
+    raw = _on_file("--spec", path, _json_object)
     if "example" in raw:
         ex = raw["example"]
         config = example_config(ex["id"], ex["n"], ex.get("constants"))
@@ -235,8 +239,8 @@ def cmd_montecarlo(args) -> int:
     spec = _spec_from_file(args.spec, args)
     result = run_monte_carlo(spec, workers=args.workers)
     if args.out is not None:
-        write_results(result.rows, args.out, fmt=args.format,
-                      include_timings=args.timings)
+        _on_file("--out", args.out, lambda path: write_results(
+            result.rows, path, fmt=args.format, include_timings=args.timings))
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -258,7 +262,8 @@ def cmd_table1(args) -> int:
         for row in rows:
             print(row)
     else:
-        write_table1(rows, args.out, fmt=args.format)
+        _on_file("--out", args.out,
+                 lambda path: write_table1(rows, path, fmt=args.format))
         print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 

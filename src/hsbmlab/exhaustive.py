@@ -8,9 +8,10 @@ local search scales further but only guarantees a local optimum.
 
 Clusters of equal size are interchangeable for the edge-mass objective, so
 enumeration emits one canonical representative per unordered choice: among
-equal-size clusters, labels are assigned in increasing order of each
-cluster's smallest member.  Canonical order is lexicographic in the first
-cluster's member set, then in the second's, and so on.
+equal-size clusters, adjacent in the configuration or not, labels are
+assigned in increasing order of each cluster's smallest member.  Canonical
+order is lexicographic in the first cluster's member set, then in the
+second's, and so on.
 
 The scan reads every score from one table: the within-set mass of each of
 the 2^n node subsets, indexed by bitmask.  It places the clusters level by
@@ -91,9 +92,10 @@ def _canonical_rows(config: ModelConfig):
 
     Level k places cluster k + 1 on each row's free nodes, every member set
     in lexicographic order, skipping a set whose smallest member does not
-    exceed that of an equal-size cluster k just before it.  A chunk of rows
-    is expanded and its children placed depth-first, so rows come out in
-    canonical order and no level holds much more than _BATCH_ROWS of them.
+    exceed that of the nearest earlier cluster of the same size.  A chunk
+    of rows is expanded and its children placed depth-first, so rows come
+    out in canonical order and no level holds much more than _BATCH_ROWS of
+    them.
     """
     n = config.n
     if n > MAX_EXHAUSTIVE_N:
@@ -105,13 +107,16 @@ def _canonical_rows(config: ModelConfig):
     sizes = config.sizes.tolist()
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
     choices = [_choices(n - sum(sizes[:k]), s) for k, s in enumerate(sizes)]
+    # Column of the nearest earlier cluster of each level's size, or None.
+    twin = [max((j for j in range(k) if sizes[j] == s), default=None)
+            for k, s in enumerate(sizes)]
 
     def expand(rows: np.ndarray, level: int):
         if level == len(sizes):
             yield rows
             return
         pos = choices[level]
-        equal_prev = level > 0 and sizes[level] == sizes[level - 1]
+        j = twin[level]
         step = max(1, _BATCH_ROWS // len(pos))
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
@@ -123,8 +128,8 @@ def _canonical_rows(config: ModelConfig):
                 mask += free[:, column]
             child = np.concatenate([np.repeat(chunk, len(pos), axis=0),
                                     mask.reshape(-1, 1)], axis=1)
-            if equal_prev:
-                prev = chunk[:, -1:]
+            if j is not None:
+                prev = chunk[:, j:j + 1]
                 child = child[(first > prev & -prev).ravel()]
             if len(child):
                 yield from expand(child, level + 1)
@@ -187,14 +192,11 @@ def _mass_table(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ExhaustiveResult:
     """Outcome of the full scan: the canonical-first maximizer, the number
-    of tied maximizers (with up to tie_cap of them kept), and the search
-    size."""
+    of tied maximizers, and the search size."""
 
     partition: Partition
     objective: int
     tie_count: int
-    ties: tuple[Partition, ...]
-    tie_cap: int
     partitions_examined: int
 
     @property
@@ -205,7 +207,6 @@ class ExhaustiveResult:
 def solve_exhaustive(
     A: Adjacency | np.ndarray,
     config: ModelConfig,
-    tie_cap: int = 64,
 ) -> ExhaustiveResult:
     """Scan all admissible partitions for the maximal within-cluster edge
     mass.
@@ -213,14 +214,13 @@ def solve_exhaustive(
     Each batch of the canonical enumeration is scored at once, every row as
     the sum of its clusters' entries in the subset-mass table.
     Deterministic: the returned partition is the first maximizer in
-    canonical order, and the stored ties (the first one always, then up to
-    tie_cap in all) are the maximizers in that order.
+    canonical order.
     """
     m = config_matrix(A, config)
     batches = _canonical_rows(config)  # refuses n > MAX_EXHAUSTIVE_N first
     mass = _mass_table(m)
     best_val = -1
-    ties: list[Partition] = []
+    best_row = None
     tie_count = 0
     examined = 0
     for rows in batches:
@@ -228,18 +228,13 @@ def solve_exhaustive(
         scores = mass[rows].sum(axis=1)
         top = int(scores.max())
         if top > best_val:
-            best_val, ties, tie_count = top, [], 0
+            best_val, best_row, tie_count = top, rows[[np.argmax(scores)]], 0
         if top == best_val:
-            hits = np.flatnonzero(scores == top)
-            tie_count += len(hits)
-            room = max(tie_cap - len(ties), 0 if ties else 1)
-            ties += map(Partition, _labels(rows[hits[:room]], config.n))
+            tie_count += int(np.count_nonzero(scores == top))
     return ExhaustiveResult(
-        partition=ties[0],
+        partition=Partition(_labels(best_row, config.n)[0]),
         objective=int(best_val),
         tie_count=tie_count,
-        ties=tuple(ties),
-        tie_cap=tie_cap,
         partitions_examined=examined,
     )
 

@@ -473,7 +473,8 @@ class TestMonteCarlo:
 
 class TestInputFiles:
     """A --config, --spec or --adjacency file that is missing, unreadable
-    or malformed prints `error: FLAG PATH: reason` and exits 2."""
+    or malformed, or an --out file that cannot be written, prints
+    `error: FLAG PATH: reason` and exits 2."""
 
     CASES = {
         "missing": (None, "No such file or directory"),
@@ -527,6 +528,24 @@ class TestInputFiles:
         path = self.write(tmp_path, content)
         self.check(["recover", "--config", small_config, "--adjacency", path],
                    "--adjacency", path, reason, capsys)
+
+    @pytest.mark.parametrize("command", ["generate", "classify", "recover",
+                                         "bench-spectral", "montecarlo", "table1"])
+    def test_out_file(self, tmp_path, small_config, small_graph, command, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"config": SMALL, "algorithms": ["counting"],
+                                    "trials": 1}))
+        argv = {
+            "generate": ["--config", small_config],
+            "classify": ["--config", small_config],
+            "recover": ["--config", small_config, "--adjacency", small_graph],
+            "bench-spectral": ["--config", small_config, "--trials", "1"],
+            "montecarlo": ["--spec", str(spec)],
+            "table1": ["--n-grid", "1e4", "--examples", "1"],
+        }[command]
+        path = str(tmp_path / "missing" / "out")
+        self.check([command, *argv, "--out", path], "--out", path,
+                   "No such file or directory", capsys)
 
 
 class TestTable1:

@@ -101,19 +101,25 @@ def oracle_placement_count(n, sizes):
     return total
 
 
-def oracle_placements(nodes, sizes, prev_size=-1, prev_min=-1):
+def oracle_twin_min(placed, size):
+    """Smallest member of the last placed cluster of the given size, or -1."""
+    same = [members for members in placed if len(members) == size]
+    return same[-1][0] if same else -1
+
+
+def oracle_placements(nodes, sizes, placed=()):
     """Every canonical placement of the clusters on the sorted nodes, as
     member tuples: the first cluster's member sets in lexicographic order,
-    an equal-size successor starting after its predecessor."""
+    each cluster starting after the nearest earlier cluster of its size."""
     if not sizes:
         yield ()
         return
     size = sizes[0]
     for members in itertools.combinations(nodes, size):
-        if size == prev_size and members[0] <= prev_min:
+        if members[0] <= oracle_twin_min(placed, size):
             continue
         rest = tuple(x for x in nodes if x not in members)
-        for others in oracle_placements(rest, sizes[1:], size, members[0]):
+        for others in oracle_placements(rest, sizes[1:], placed + (members,)):
             yield (members,) + others
 
 
@@ -134,8 +140,10 @@ def oracle_batches(config):
         for label, members in enumerate(head, start=1):
             labels[list(members)] = label
         tail = np.flatnonzero(labels == 0)[table]
-        if k and sizes[k] == sizes[k - 1]:
-            tail = tail[tail[:, 0] > head[-1][0]]
+        start = 0
+        for size in sizes[k:]:
+            tail = tail[tail[:, start] > oracle_twin_min(head, size)]
+            start += size
         yield labels, head, tail
         labels[:] = 0
 
@@ -154,10 +162,10 @@ def oracle_partitions(config):
             yield oracle_complete(labels, config, len(head), row)
 
 
-def oracle_scan(m, config, tie_cap=64):
-    """(objective, tie_count, ties as label lists, partitions_examined) of
-    the batched scan, each cluster's mass truncated to an integer."""
-    best_val, ties, tie_count, examined = -1, [], 0, 0
+def oracle_scan(m, config):
+    """(objective, tie_count, first maximizer's labels, partitions_examined)
+    of the batched scan, each cluster's mass truncated to an integer."""
+    best_val, first, tie_count, examined = -1, None, 0, 0
     sizes = config.sizes.tolist()
     for labels, head, tail in oracle_batches(config):
         if not len(tail):
@@ -172,14 +180,12 @@ def oracle_scan(m, config, tie_cap=64):
             start += size
         top = int(scores.max())
         if top > best_val:
-            best_val, ties, tie_count = top, [], 0
+            best_val, tie_count = top, 0
+            first = oracle_complete(labels, config, len(head),
+                                    tail[np.argmax(scores)])
         if top == best_val:
-            hits = np.flatnonzero(scores == top)
-            tie_count += len(hits)
-            room = max(tie_cap - len(ties), 0 if ties else 1)
-            ties += [oracle_complete(labels, config, len(head), tail[i])
-                     for i in hits[:room]]
-    return best_val, tie_count, ties, examined
+            tie_count += int(np.count_nonzero(scores == top))
+    return best_val, tie_count, first, examined
 
 
 def oracle_hill_climb(m, labels, r):
@@ -211,7 +217,8 @@ def oracle_hill_climb(m, labels, r):
 
 def random_sizes(rng, n, r_max):
     """Cluster sizes for n nodes: up to r_max clusters, often with runs of
-    equal sizes, sometimes with nodes left isolated."""
+    equal sizes, sometimes shuffled so that equal sizes are not adjacent,
+    sometimes with nodes left isolated."""
     sizes = []
     while len(sizes) < r_max and sum(sizes) < n:
         if sizes and rng.random() < 0.4:
@@ -223,6 +230,8 @@ def random_sizes(rng, n, r_max):
         sizes.append(size)
         if rng.random() < 0.15:
             break
+    if rng.random() < 0.3:
+        rng.shuffle(sizes)
     return sizes or [n]
 
 
@@ -434,16 +443,34 @@ class TestSolveExhaustive:
         res = solve_exhaustive(A, cfg)
         assert res.objective == 4
         assert res.tie_count == 3
-        assert len(res.ties) == 3
         assert not res.unique
 
-    def test_tie_cap_limits_stored_ties(self):
+    def test_empty_graph_ties_every_partition(self):
         A = np.zeros((6, 6), dtype=int)
         cfg = ModelConfig(6, [(3, 0.1), (3, 0.1)], 0.05)
-        res = solve_exhaustive(A, cfg, tie_cap=4)
+        res = solve_exhaustive(A, cfg)
         assert res.tie_count == 10  # all partitions tie at mass 0
-        assert len(res.ties) == 4
-        assert res.tie_cap == 4
+        assert res.partition.labels.tolist() == [1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brute_force_non_adjacent_equal_sizes(self, seed):
+        # Sizes 2, 3, 2: the two pairs are interchangeable although they are
+        # not adjacent.  Every label assignment, deduplicated by its
+        # clustering matrix, gives the distinct partitions.
+        cfg = ModelConfig(7, [(2, 0.9), (3, 0.9), (2, 0.9)], 0.05)
+        template = cfg.planted_partition().labels.tolist()
+        distinct = {}
+        for labels in set(itertools.permutations(template)):
+            distinct.setdefault(key(Partition(labels)), Partition(labels))
+        assert len(distinct) == partition_count(cfg) == 105
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
+        values = {k: objective(A, p) for k, p in distinct.items()}
+        best = max(values.values())
+        res = solve_exhaustive(A, cfg)
+        assert res.partitions_examined == 105
+        assert res.objective == best
+        assert res.tie_count == sum(v == best for v in values.values())
+        assert values[key(res.partition)] == best
 
     @pytest.mark.parametrize("config,seed", [
         (TIE8, 0), (THREE10, 1), (SPARSE9, 0),
@@ -452,18 +479,17 @@ class TestSolveExhaustive:
     ])
     def test_matches_enumeration_reference(self, config, seed):
         # The reference scores each enumerated partition with objective()
-        # and keeps the first tie_cap maximizers in enumeration order.
+        # and takes the first maximizer in enumeration order.
         A = sample_adjacency(config, config.planted_partition(), seed=seed)
         parts = list(enumerate_partitions(config))
         values = [objective(A, p) for p in parts]
         best = max(values)
         maximizers = [p.labels.tolist() for p, v in zip(parts, values) if v == best]
-        for tie_cap in (64, 2):
-            res = solve_exhaustive(A, config, tie_cap=tie_cap)
-            assert res.objective == best
-            assert res.tie_count == len(maximizers)
-            assert res.partitions_examined == len(parts)
-            assert [t.labels.tolist() for t in res.ties] == maximizers[:tie_cap]
+        res = solve_exhaustive(A, config)
+        assert res.objective == best
+        assert res.tie_count == len(maximizers)
+        assert res.partitions_examined == len(parts)
+        assert res.partition.labels.tolist() == maximizers[0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -555,11 +581,10 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("seed", range(36))
     def test_scan(self, seed):
         config, m = self.scan_case(seed)
-        for tie_cap in (64, 3):
-            res = solve_exhaustive(m, config, tie_cap=tie_cap)
-            got = (res.objective, res.tie_count, [t.labels.tolist() for t in res.ties],
-                   res.partitions_examined)
-            assert got == oracle_scan(m, config, tie_cap)
+        res = solve_exhaustive(m, config)
+        got = (res.objective, res.tie_count, res.partition.labels.tolist(),
+               res.partitions_examined)
+        assert got == oracle_scan(m, config)
 
     @pytest.mark.parametrize("seed", range(0, 36, 3))
     def test_enumeration_order(self, seed):
@@ -617,39 +642,19 @@ class TestFrozenOutputs:
         assert got == expect
 
     # (config, seed) -> (objective, tie_count, partitions_examined, the
-    # first three ties, digest of all ties kept at tie_cap=64).
+    # first maximizer).
     SCAN = [
-        (TIE8, 0, (6, 4, 420, [[1, 1, 2, 3, 0, 0, 3, 2], [1, 2, 3, 1, 2, 0, 0, 3],
-                               [1, 2, 3, 1, 0, 0, 2, 3]], "65c97b4fb24c6774")),
-        (THREE10, 1, (16, 3, 2800, [[1, 1, 1, 2, 2, 2, 3, 3, 3, 0],
-                                    [1, 1, 1, 2, 2, 2, 3, 3, 0, 3],
-                                    [1, 1, 1, 2, 2, 2, 0, 3, 3, 3]],
-                      "9583cf6ea9a7c43b")),
-        (SPARSE9, 0, (4, 20, 840, [[1, 1, 1, 2, 2, 2, 0, 0, 0],
-                                   [1, 1, 1, 2, 2, 0, 2, 0, 0],
-                                   [1, 1, 1, 2, 2, 0, 0, 2, 0]],
-                      "318db2394bf4a572")),
-        (SCAN14, 0, (40, 1, 126126, [[1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0, 0, 0]],
-                     "b690305ed138fc5a")),
-        (FOUR12, 0, (16, 4, 15400, [[1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4],
-                                    [1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 3, 4],
-                                    [1, 1, 1, 2, 2, 2, 3, 4, 4, 3, 3, 4]],
-                     "f3e156183d152ffe")),
-        (PAIRS13, 0, (10, 9, 135135, [[1, 1, 2, 2, 3, 4, 3, 5, 6, 6, 4, 5, 0],
-                                      [1, 1, 2, 3, 4, 2, 4, 5, 6, 3, 6, 5, 0],
-                                      [1, 1, 2, 3, 4, 5, 4, 6, 2, 3, 5, 6, 0]],
-                      "9c67570c5cbcb913")),
+        (TIE8, 0, (6, 4, 420, [1, 1, 2, 3, 0, 0, 3, 2])),
+        (THREE10, 1, (16, 3, 2800, [1, 1, 1, 2, 2, 2, 3, 3, 3, 0])),
+        (SPARSE9, 0, (4, 20, 840, [1, 1, 1, 2, 2, 2, 0, 0, 0])),
+        (SCAN14, 0, (40, 1, 126126, [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0, 0, 0])),
+        (FOUR12, 0, (16, 4, 15400, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4])),
+        (PAIRS13, 0, (10, 9, 135135, [1, 1, 2, 2, 3, 4, 3, 5, 6, 6, 4, 5, 0])),
     ]
 
     @pytest.mark.parametrize("config,seed,expect", SCAN)
     def test_solve_exhaustive(self, config, seed, expect):
-        best, tie_count, examined, first_ties, all_ties = expect
         A = sample_adjacency(config, config.planted_partition(), seed=seed)
-        results = {cap: solve_exhaustive(A, config, tie_cap=cap) for cap in (64, 3)}
-        for cap, res in results.items():
-            assert (res.objective, res.tie_count, res.partitions_examined) == (
-                best, tie_count, examined)
-            assert res.partition.labels.tolist() == first_ties[0]
-            assert len(res.ties) == min(cap, tie_count)
-        assert [t.labels.tolist() for t in results[3].ties] == first_ties
-        assert digest(np.concatenate([t.labels for t in results[64].ties])) == all_ties
+        res = solve_exhaustive(A, config)
+        assert (res.objective, res.tie_count, res.partitions_examined,
+                res.partition.labels.tolist()) == expect
