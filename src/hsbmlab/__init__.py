@@ -10,8 +10,6 @@ harness with CSV/JSON persistence and a CLI.
 """
 
 from .convex import (
-    ConvexRecovery,
-    RoundingFailure,
     SolverResult,
     project_box_sum,
     project_nuclear_ball,
@@ -20,8 +18,6 @@ from .convex import (
     solve_convex,
 )
 from .counting import (
-    CountingFailure,
-    CountingRecovery,
     isolated_threshold,
     pair_threshold,
     recover_counting,
@@ -66,11 +62,11 @@ from .harness import (
     write_table1,
 )
 from .model import (
-    Cluster,
     ConfigError,
     DerivedStats,
     ModelConfig,
     Partition,
+    Recovery,
     chi_square_div,
     clustering_matrix,
     derived_stats,

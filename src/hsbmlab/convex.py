@@ -23,7 +23,8 @@ is a best clustering matrix in the body (see ``solve_convex``).  The
 candidate iterate is then rounded entrywise and validated: every connected
 component of the thresholded matrix must be a clique, and
 ``recover_convex`` also requires the cluster sizes to be the configured
-ones; otherwise a ``RoundingFailure`` is returned rather than a partition.
+ones; otherwise the ``Recovery`` it returns holds the failure rather
+than a partition.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import Adjacency, as_matrix, config_matrix
-from .model import (ConfigError, ModelConfig, Partition, clique_components,
-                    clustering_matrix, size_mismatch)
+from .model import (ConfigError, ModelConfig, Partition, Recovery,
+                    clique_components, clustering_matrix, size_mismatch)
 
 # Default iteration cap of the splitting method, its only setting.
 MAX_ITER = 2000
@@ -178,8 +179,8 @@ def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
     # the body here spares most iterates the rounding.
     if int((linked + 1).sum()) != sum_target or linked.size > nuclear_radius:
         return None
-    rounded = round_solution(W)
-    if isinstance(rounded, RoundingFailure):
+    rounded, _ = round_solution(W)
+    if rounded is None:
         return None
     Y_P = clustering_matrix(rounded).astype(float)
     value = float(np.tensordot(M, Y_P))
@@ -253,65 +254,40 @@ def solve_convex(
     )
 
 
-@dataclass(frozen=True)
-class RoundingFailure:
-    """Why a solver iterate could not be turned into a partition.
-
-    kind is "not_clique" (a thresholded component is not fully connected),
-    "size_mismatch" (the components are cliques, but their sizes are not
-    the configured ones) or "nonconvergence" (the splitting iteration did
-    not meet its tolerances, so the iterate is not trusted).
-    """
-
-    kind: str
-    detail: str = ""
-
-
-def round_solution(Y: np.ndarray) -> Partition | RoundingFailure:
+def round_solution(Y: np.ndarray) -> tuple[Partition | None, str]:
     """Threshold the iterate entrywise (strictly above ROUNDING_THRESHOLD)
     and read off clusters as connected components, requiring each
     multi-node component to be a clique.  Singleton components become
-    isolated nodes (label 0)."""
+    isolated nodes (label 0).  Returns (partition, ""), or (None, detail)
+    with a "not_clique: " detail for the first component that is not a
+    clique."""
     B = Y > ROUNDING_THRESHOLD
     np.fill_diagonal(B, False)
     labels, flaw = clique_components(B)
     if flaw is not None:
         size, missing = flaw
-        return RoundingFailure(
-            "not_clique",
-            f"component of {size} nodes is missing {missing} "
-            f"pairs above threshold {ROUNDING_THRESHOLD}",
-        )
-    return Partition(labels)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexRecovery:
-    """End-to-end convex recovery outcome: a partition on success, a
-    failure record otherwise, plus the raw solver diagnostics."""
-
-    partition: Partition | None
-    failure: RoundingFailure | None
-    solver: SolverResult
-
-    @property
-    def succeeded(self) -> bool:
-        return self.partition is not None
+        return None, (f"not_clique: component of {size} nodes is missing "
+                      f"{missing} pairs above threshold {ROUNDING_THRESHOLD}")
+    return Partition(labels), ""
 
 
 def recover_convex(
     A: Adjacency | np.ndarray,
     config: ModelConfig,
     max_iter: int = MAX_ITER,
-) -> ConvexRecovery:
+) -> Recovery:
     """Solve the relaxation max <A + I, Y> at the configuration's nuclear
-    radius sum_k n_k and sum target sum_k n_k^2, then round.  A partition
-    without the configured cluster sizes is a "size_mismatch" failure (so
-    is every partition of a config with a cluster of size 1).
+    radius sum_k n_k and sum target sum_k n_k^2, then round.
+
+    The Recovery carries the SolverResult and its objective.  An unconverged
+    solve is a "nonconvergence" failure; a rounding that is not cliques
+    ("not_clique") or whose cluster sizes are not the configured ones
+    ("size_mismatch", as is every partition of a config with a cluster of
+    size 1) is a "rounding" failure.
 
     The identity charges the diagonal ones that the sum target counts (see
-    the module docstring); the reported ``solver.objective`` is therefore
-    <A + I, Y>, which on a clustering matrix is objective(A, P) + sum_k n_k.
+    the module docstring); the objective is therefore <A + I, Y>, which on
+    a clustering matrix is objective(A, P) + sum_k n_k.
     The radius is the nuclear norm of every clustering matrix with the
     configured sizes, isolated nodes adding nothing, so the body is the
     tightest nuclear ball that still contains them all.
@@ -321,18 +297,12 @@ def recover_convex(
     result = solve_convex(objective_matrix, float(config.n_covered), sum_target,
                           max_iter)
     if not result.converged:
-        failure = RoundingFailure(
-            "nonconvergence",
-            f"no convergence in {result.iterations} iterations "
-            f"(change {result.change:.3e}, nuclear residual "
-            f"{result.nuclear_residual:.3e}, gap {result.gap:.3e})",
-        )
-        return ConvexRecovery(partition=None, failure=failure, solver=result)
-    rounded = round_solution(result.Y)
-    if isinstance(rounded, RoundingFailure):
-        return ConvexRecovery(partition=None, failure=rounded, solver=result)
-    mismatch = size_mismatch(rounded, config)
-    if mismatch:
-        failure = RoundingFailure("size_mismatch", mismatch)
-        return ConvexRecovery(partition=None, failure=failure, solver=result)
-    return ConvexRecovery(partition=rounded, failure=None, solver=result)
+        detail = (f"nonconvergence: no convergence in {result.iterations} "
+                  f"iterations (change {result.change:.3e}, nuclear residual "
+                  f"{result.nuclear_residual:.3e}, gap {result.gap:.3e})")
+        return Recovery(None, "nonconvergence", detail, result.objective, result)
+    partition, detail = round_solution(result.Y)
+    detail = detail or size_mismatch(partition, config)
+    if detail:
+        return Recovery(None, "rounding", detail, result.objective, result)
+    return Recovery(partition, "none", "", result.objective, result)

@@ -12,14 +12,16 @@ pairs, so the midpoint threshold links exactly the same-cluster pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
+from .exhaustive import objective
 from .generate import Adjacency, config_matrix
 from .model import (
     ModelConfig,
     Partition,
+    Recovery,
     clique_components,
     cross_pair_peak,
     size_mismatch,
@@ -53,69 +55,34 @@ def pair_threshold(config: ModelConfig) -> float:
     return n * q**2 + (intra_floor + cross) / 2.0
 
 
-@dataclass(frozen=True)
-class CountingFailure:
-    """Why thresholding did not produce an admissible partition.
-
-    kind is "not_clique" (linked components are not mutually linked
-    cliques) or "size_mismatch" (component sizes disagree with the
-    configuration's cluster sizes)."""
-
-    kind: str
-    detail: str = ""
-
-
-@dataclass(frozen=True, eq=False)
-class CountingRecovery:
-    """Outcome of counting recovery plus the thresholds used."""
-
-    partition: Partition | None
-    failure: CountingFailure | None
-    iso_threshold: float
-    link_threshold: float
-
-    @property
-    def succeeded(self) -> bool:
-        return self.partition is not None
-
-
-def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> CountingRecovery:
+def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Recovery:
     """Classify nodes by degree, link surviving pairs by common-neighbor
     count, read clusters off the link graph.
 
     The link relation restricted to non-isolated nodes must consist of
-    disjoint cliques whose sizes match the configuration; otherwise a
-    CountingFailure is reported instead of a partition.
+    disjoint cliques whose sizes match the configuration; otherwise the
+    Recovery is a "counting" failure, its detail starting "not_clique: " or
+    "size_mismatch: ", with a NaN objective.  On success the objective is
+    the partition's within-cluster edge mass.
     """
     # float64 holds 0/1 sums and common-neighbor counts (< 2^53) exactly,
     # and keeps the matrix product on the fast dense path.
     m = config_matrix(A, config).astype(np.float64)
     n = m.shape[0]
-    t_iso = isolated_threshold(config)
-    t_link = pair_threshold(config)
-
-    clustered = m.sum(axis=1) >= t_iso
+    clustered = m.sum(axis=1) >= isolated_threshold(config)
     # Neither n x n float array outlives the link matrix, so that reading
     # the components does not hold them too.
-    link = (m @ m > t_link) & clustered[:, None] & clustered[None, :]
+    link = (m @ m > pair_threshold(config)) & clustered[:, None] & clustered[None, :]
     del m
     link &= ~np.eye(n, dtype=bool)
 
     labels, flaw = clique_components(link, keep=clustered)
     if flaw is not None:
         size, missing = flaw
-        return CountingRecovery(
-            None,
-            CountingFailure(
-                "not_clique",
-                f"component of {size} nodes is missing {missing} links",
-            ),
-            t_iso,
-            t_link,
-        )
+        return Recovery(None, "counting", f"not_clique: component of {size} "
+                        f"nodes is missing {missing} links", math.nan)
     partition = Partition(labels)
     mismatch = size_mismatch(partition, config)
     if mismatch:
-        return CountingRecovery(None, CountingFailure("size_mismatch", mismatch),
-                                t_iso, t_link)
-    return CountingRecovery(partition, None, t_iso, t_link)
+        return Recovery(None, "counting", mismatch, math.nan)
+    return Recovery(partition, "none", "", float(objective(A, partition)))

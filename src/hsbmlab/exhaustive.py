@@ -199,10 +199,6 @@ class ExhaustiveResult:
     tie_count: int
     partitions_examined: int
 
-    @property
-    def unique(self) -> bool:
-        return self.tie_count == 1
-
 
 def solve_exhaustive(
     A: Adjacency | np.ndarray,

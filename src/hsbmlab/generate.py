@@ -28,9 +28,11 @@ STREAM_ALGORITHM = 2
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator for the given (seed, stream) key."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    """Philox generator for the given (seed, stream) key.  A seed outside
+    [0, 2**64) is a ConfigError: it would spill into the stream's bits, so
+    seed 2**64 would draw stream 1 of seed 0."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
     key = int(seed) + (int(stream) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 

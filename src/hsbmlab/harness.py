@@ -26,21 +26,15 @@ from dataclasses import dataclass
 
 from .convex import MAX_ITER, recover_convex
 from .counting import recover_counting
-from .exhaustive import (
-    MAX_EXHAUSTIVE_N,
-    local_search,
-    objective as partition_objective,
-    solve_exhaustive,
-)
+from .exhaustive import MAX_EXHAUSTIVE_N, local_search, solve_exhaustive
 from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
-from .model import ConfigError, ModelConfig, Partition, partitions_equal
+from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
 from .presets import EXAMPLE_IDS, example6_reference_constants, example_config
 from .regimes import classify
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
 # Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
 WILSON_Z = 1.959963984540054
-FAILURE_KINDS = ("none", "rounding", "nonconvergence", "counting", "tie")
 
 
 @dataclass(frozen=True)
@@ -74,19 +68,6 @@ class ExperimentSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Recovery:
-    """One algorithm's outcome on one graph: the partition it output (None
-    when it could not produce one), a failure_kind from FAILURE_KINDS, a
-    one-line detail for any failure kind but "none", and the objective
-    (NaN for a counting failure)."""
-
-    partition: Partition | None
-    failure_kind: str
-    detail: str
-    objective: float
-
-
 def recover(algorithm: str, graph, config: ModelConfig,
             max_iter: int = MAX_ITER, seed: int = 0, restarts: int = 10) -> Recovery:
     """Run one algorithm on an Adjacency or ObservedMatrix.
@@ -111,12 +92,7 @@ def recover(algorithm: str, graph, config: ModelConfig,
     if algorithm == "convex":
         # max_iter goes third, by position: the benchmark's wrapper of
         # recover_convex forwards its third argument positionally.
-        rec = recover_convex(graph, config, max_iter)
-        if rec.failure is None:
-            return Recovery(rec.partition, "none", "", rec.solver.objective)
-        kind = "nonconvergence" if rec.failure.kind == "nonconvergence" else "rounding"
-        return Recovery(None, kind, f"{rec.failure.kind}: {rec.failure.detail}",
-                        rec.solver.objective)
+        return recover_convex(graph, config, max_iter)
     if algorithm == "exhaustive":
         res = solve_exhaustive(graph, config)
         if res.tie_count > 1:
@@ -124,12 +100,7 @@ def recover(algorithm: str, graph, config: ModelConfig,
                             float(res.objective))
         return Recovery(res.partition, "none", "", float(res.objective))
     if algorithm == "counting":
-        rec = recover_counting(graph, config)
-        if rec.failure is not None:
-            return Recovery(None, "counting", f"{rec.failure.kind}: {rec.failure.detail}",
-                            math.nan)
-        return Recovery(rec.partition, "none", "",
-                        float(partition_objective(graph, rec.partition)))
+        return recover_counting(graph, config)
     if algorithm == "local-search":
         res = local_search(graph, config, seed=seed, restarts=restarts)
         return Recovery(res.partition, "none", "", float(res.objective))

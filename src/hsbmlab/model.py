@@ -11,30 +11,17 @@ pairs are ambient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
+if TYPE_CHECKING:
+    from .convex import SolverResult
+
 
 class ConfigError(ValueError):
     """Raised for structurally invalid model configurations."""
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """One planted cluster: its size and intra-connection probability."""
-
-    size: int
-    p: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, (int, np.integer)) or isinstance(self.size, bool):
-            raise ConfigError(f"cluster size must be an integer, got {self.size!r}")
-        if self.size < 1:
-            raise ConfigError(f"cluster size must be >= 1, got {self.size}")
-        if not (0.0 <= self.p <= 1.0):
-            raise ConfigError(f"cluster probability must be in [0, 1], got {self.p}")
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -64,7 +51,7 @@ class ModelConfig:
     Parameters
     ----------
     n : total number of nodes.
-    clusters : sequence of (size, p) pairs or Cluster objects.
+    clusters : sequence of (size, p) pairs.
     q : ambient edge probability, must satisfy q < min_k p_k.
     gamma : observation rate in (0, 1].
 
@@ -81,14 +68,14 @@ class ModelConfig:
     def __init__(
         self,
         n: int,
-        clusters: Iterable[Cluster | Sequence],
+        clusters: Iterable[Sequence],
         q: float,
         gamma: float = 1.0,
     ) -> None:
         raw_sizes = []
         raw_probs = []
         for c in clusters:
-            size, p = (c.size, c.p) if isinstance(c, Cluster) else (c[0], c[1])
+            size, p = c[0], c[1]
             if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
                 raise ConfigError(f"cluster size must be an integer, got {size!r}")
             raw_sizes.append(int(size))
@@ -294,12 +281,33 @@ class Partition:
         return f"Partition({self.labels.tolist()})"
 
 
+FAILURE_KINDS = ("none", "rounding", "nonconvergence", "counting", "tie")
+
+
+@dataclass(frozen=True, eq=False)
+class Recovery:
+    """One recovery method's outcome on one graph: the partition it output
+    (None when it could not produce one), a failure_kind from
+    FAILURE_KINDS, a one-line detail for any failure kind but "none"
+    (convex and counting details start with their cause: "not_clique: ",
+    "size_mismatch: " or "nonconvergence: "), the objective (NaN for a
+    counting failure), and the convex method's solver diagnostics (None
+    for the other methods)."""
+
+    partition: Partition | None
+    failure_kind: str
+    detail: str
+    objective: float
+    solver: SolverResult | None = None
+
+
 def size_mismatch(partition: Partition, config: ModelConfig) -> str:
-    """The failure detail when the partition's cluster sizes are not the
-    configured ones, as a multiset; "" when they are."""
+    """The "size_mismatch: " failure detail when the partition's cluster
+    sizes are not the configured ones, as a multiset; "" when they are."""
     found = list(partition.size_multiset())
     want = sorted(config.sizes.tolist())
-    return "" if found == want else f"component sizes {found} != configured {want}"
+    return ("" if found == want
+            else f"size_mismatch: component sizes {found} != configured {want}")
 
 
 def clique_components(link: np.ndarray, keep: np.ndarray | None = None):

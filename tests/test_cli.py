@@ -165,7 +165,8 @@ class TestRecover:
         assert main(["recover", "--config", small_config,
                      "--adjacency", str(graph)]) == 2
         captured = capsys.readouterr()
-        assert "not_clique" in captured.err
+        assert captured.err == ("not_clique: component of 9 nodes is missing 15 "
+                                "pairs above threshold 0.5\n")
         assert captured.out == ""
 
     def test_size_mismatch_exits_2(self, tmp_path, capsys):
@@ -191,7 +192,11 @@ class TestRecover:
         capsys.readouterr()
         assert main(["recover", "--config", small_config,
                      "--adjacency", str(graph), "--max-iter", "1"]) == 3
-        assert "nonconvergence" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ("nonconvergence: no convergence in 1 iterations "
+                                "(change 1.853e-01, nuclear residual 2.542e-01, "
+                                "gap inf)\n")
+        assert captured.out == ""
 
     def test_counting_success(self, small_config, small_graph, capsys):
         assert main(["recover", "--config", small_config,
@@ -209,7 +214,22 @@ class TestRecover:
         assert main(["recover", "--config", small_config,
                      "--adjacency", str(graph),
                      "--algorithm", "counting"]) == 2
-        assert capsys.readouterr().err.strip() != ""
+        captured = capsys.readouterr()
+        assert captured.err == "not_clique: component of 10 nodes is missing 29 links\n"
+        assert captured.out == ""
+
+    def test_counting_size_mismatch_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "tie.json"
+        config.write_text(json.dumps(TIE))
+        graph = tmp_path / "tie.graph"
+        main(["generate", "--config", str(config), "--out", str(graph)])
+        capsys.readouterr()
+        assert main(["recover", "--config", str(config),
+                     "--adjacency", str(graph), "--algorithm", "counting"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("size_mismatch: component sizes [4] != "
+                                "configured [2, 2]\n")
+        assert captured.out == ""
 
     def test_exhaustive_tie_warns_but_exits_0(self, tmp_path, capsys):
         config = tmp_path / "tie.json"
@@ -469,6 +489,31 @@ class TestMonteCarlo:
         path.write_text(json.dumps({"trials": 2}))
         assert main(["montecarlo", "--spec", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    """A seed outside [0, 2**64) prints `error: ...` and exits 2; seed 2**64
+    would otherwise draw the observation stream of seed 0."""
+
+    @pytest.mark.parametrize("command, seed", [
+        ("generate", "-1"), ("generate", str(2**64)), ("bench-spectral", "-1"),
+    ])
+    def test_seed_flag(self, tmp_path, small_config, command, seed, capsys):
+        argv = [command, "--config", small_config, "--seed", seed]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "graph")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+        assert captured.out == ""
+
+    def test_spec_base_seed(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"config": SMALL, "trials": 2, "base_seed": -3}))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer in [0, 2**64), got -3\n"
+        assert captured.out == ""
 
 
 class TestInputFiles:

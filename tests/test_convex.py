@@ -21,7 +21,6 @@ from hsbmlab import (
     ConfigError,
     ModelConfig,
     Partition,
-    RoundingFailure,
     partitions_equal,
     project_box_sum,
     project_nuclear_ball,
@@ -351,35 +350,35 @@ class TestSolveConvex:
 class TestRounding:
     def test_exact_blocks(self):
         Y = np.kron(np.eye(2), np.ones((3, 3)))
-        part = round_solution(Y)
-        assert isinstance(part, Partition)
+        part, detail = round_solution(Y)
+        assert isinstance(part, Partition) and detail == ""
         assert partitions_equal(part, Partition([1, 1, 1, 2, 2, 2]))
 
     def test_zero_diagonal_irrelevant(self):
         Y = np.kron(np.eye(2), np.ones((3, 3)))
         np.fill_diagonal(Y, 0.0)
-        part = round_solution(Y)
+        part, _ = round_solution(Y)
         assert partitions_equal(part, Partition([1, 1, 1, 2, 2, 2]))
 
     def test_singletons_become_isolated(self):
         Y = np.zeros((4, 4))
         Y[0, 1] = Y[1, 0] = 0.9
-        part = round_solution(Y)
+        part, _ = round_solution(Y)
         assert part.labels.tolist() == [1, 1, 0, 0]
 
     def test_threshold_is_strict(self):
         Y = np.zeros((2, 2))
         Y[0, 1] = Y[1, 0] = 0.5
-        part = round_solution(Y)
+        part, _ = round_solution(Y)
         assert part.labels.tolist() == [0, 0]
 
     def test_bridged_blocks_fail_as_not_clique(self):
         Y = np.kron(np.eye(2), np.ones((2, 2)))
         Y[1, 2] = Y[2, 1] = 0.55  # dangling bridge merges the components
-        out = round_solution(Y)
-        assert isinstance(out, RoundingFailure)
-        assert out.kind == "not_clique"
-        assert "missing" in out.detail
+        part, detail = round_solution(Y)
+        assert part is None
+        assert detail == ("not_clique: component of 4 nodes is missing 3 "
+                          "pairs above threshold 0.5")
 
 
 class TestRecoverConvex:
@@ -388,17 +387,18 @@ class TestRecoverConvex:
     def test_success_path(self):
         A = sample_adjacency(self.CFG, self.CFG.planted_partition(), seed=0)
         rec = recover_convex(A, self.CFG)
-        assert rec.succeeded
-        assert rec.failure is None
+        assert (rec.failure_kind, rec.detail) == ("none", "")
         assert rec.solver.converged
+        assert rec.objective == rec.solver.objective
         assert partitions_equal(rec.partition, self.CFG.planted_partition())
 
     def test_nonconvergence_path(self):
         A = sample_adjacency(self.CFG, self.CFG.planted_partition(), seed=36)
         rec = recover_convex(A, self.CFG, max_iter=1)
-        assert not rec.succeeded
         assert rec.partition is None
-        assert rec.failure.kind == "nonconvergence"
+        assert rec.failure_kind == "nonconvergence"
+        assert rec.detail.startswith("nonconvergence: no convergence in 1 iterations")
+        assert rec.objective == rec.solver.objective
 
     # Draws whose rounding gives cliques of sizes other than the configured
     # ones; each was reported as a success before the size check.
@@ -410,9 +410,9 @@ class TestRecoverConvex:
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
         rec = recover_convex(A, cfg)
         assert rec.partition is None
-        assert rec.failure.kind == "size_mismatch"
-        assert rec.failure.detail.endswith(
-            f" != configured {sorted(cfg.sizes.tolist())}")
+        assert rec.failure_kind == "rounding"
+        assert rec.detail.startswith("size_mismatch: component sizes ")
+        assert rec.detail.endswith(f" != configured {sorted(cfg.sizes.tolist())}")
 
     def test_frozen_success_rate_and_oracle_equality(self):
         # Frozen measurement on seeds 0..29 at the default options: all 30
@@ -426,13 +426,13 @@ class TestRecoverConvex:
         for seed in range(30):
             A = sample_adjacency(cfg, part, seed=seed)
             rec = recover_convex(A, cfg)
-            if rec.succeeded:
+            if rec.failure_kind == "none":
                 successes += 1
                 best = solve_exhaustive(A, cfg)
                 assert objective(A, rec.partition) == best.objective
             else:
                 failing.append(seed)
-                assert rec.failure.kind in ("not_clique", "nonconvergence")
+                assert rec.detail.startswith(("not_clique: ", "nonconvergence: "))
         assert successes == 30
         assert failing == []
 
@@ -449,7 +449,7 @@ class TestIsolatedNodes:
         for seed in range(40):
             A = sample_adjacency(cfg, cfg.planted_partition(), seed=seed)
             rec = recover_convex(A, cfg)
-            if rec.succeeded:
+            if rec.failure_kind == "none":
                 found += 1
                 best = solve_exhaustive(A, cfg)
                 assert objective(A, rec.partition) == best.objective
@@ -498,7 +498,7 @@ class TestCertificate:
             assert eig_bound >= best - 1e-9
             assert math.isclose(dual_bound(M, Z, Y, s), eig_bound,
                                 rel_tol=1e-9, abs_tol=1e-9)
-        if rec.succeeded and rec.solver.gap < 1.0:
+        if rec.failure_kind == "none" and rec.solver.gap < 1.0:
             assert rec.solver.objective == best
             assert objective(A, rec.partition) + radius == best
 

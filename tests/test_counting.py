@@ -8,9 +8,9 @@ import pytest
 
 from hsbmlab import (
     ConfigError,
-    CountingFailure,
     ModelConfig,
     isolated_threshold,
+    objective,
     pair_threshold,
     partitions_equal,
     recover_counting,
@@ -95,16 +95,10 @@ class TestRecovery:
         for seed in range(5):
             A = sample_adjacency(cfg, part, seed=seed)
             rec = recover_counting(A, cfg)
-            assert rec.succeeded
-            assert rec.failure is None
+            assert (rec.failure_kind, rec.detail) == ("none", "")
             assert partitions_equal(rec.partition, part)
-
-    def test_thresholds_recorded(self):
-        cfg = ModelConfig(420, [(200, 0.95), (200, 0.95)], 0.005)
-        A = sample_adjacency(cfg, cfg.planted_partition(), seed=0)
-        rec = recover_counting(A, cfg)
-        assert close(rec.iso_threshold, isolated_threshold(cfg))
-        assert close(rec.link_threshold, pair_threshold(cfg))
+            assert rec.objective == objective(A, rec.partition)
+            assert rec.solver is None
 
     def test_bridged_triangles_not_clique(self):
         # Two perfect triangles joined by one edge: the bridge endpoints
@@ -115,10 +109,10 @@ class TestRecovery:
         for i, j in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]:
             A[i, j] = A[j, i] = 1
         rec = recover_counting(A, cfg)
-        assert not rec.succeeded
-        assert isinstance(rec.failure, CountingFailure)
-        assert rec.failure.kind == "not_clique"
-        assert "missing" in rec.failure.detail
+        assert rec.partition is None
+        assert rec.failure_kind == "counting"
+        assert rec.detail == "not_clique: component of 6 nodes is missing 5 links"
+        assert math.isnan(rec.objective)
 
     def test_wrong_component_sizes(self):
         # A triangle plus an isolated node against a {2,2} configuration.
@@ -127,9 +121,10 @@ class TestRecovery:
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             A[i, j] = A[j, i] = 1
         rec = recover_counting(A, cfg)
-        assert not rec.succeeded
-        assert rec.failure.kind == "size_mismatch"
-        assert "[3]" in rec.failure.detail
+        assert rec.partition is None
+        assert rec.failure_kind == "counting"
+        assert rec.detail == "size_mismatch: component sizes [3] != configured [2, 2]"
+        assert math.isnan(rec.objective)
 
     def test_link_threshold_is_strict(self):
         # Disjoint 2-cliques have zero common neighbors, exactly the q = 0
@@ -140,16 +135,16 @@ class TestRecovery:
         A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = 1
         assert pair_threshold(cfg) == 0.0
         rec = recover_counting(A, cfg)
-        assert not rec.succeeded
-        assert rec.failure.kind == "size_mismatch"
+        assert rec.partition is None
+        assert rec.detail.startswith("size_mismatch: ")
 
     def test_far_outside_regime_always_fails(self):
         cfg = ModelConfig(400, [(200, 0.06), (200, 0.06)], 0.05)
         part = cfg.planted_partition()
         for seed in range(5):
             rec = recover_counting(sample_adjacency(cfg, part, seed=seed), cfg)
-            assert not rec.succeeded
-            assert rec.failure.kind == "not_clique"
+            assert rec.partition is None
+            assert rec.detail.startswith("not_clique: ")
 
     def test_shape_mismatch(self):
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
@@ -169,7 +164,7 @@ class TestScaling:
                 t0 = time.perf_counter()
                 rec = recover_counting(A, cfg)
                 best = min(best, time.perf_counter() - t0)
-            assert rec.succeeded
+            assert rec.failure_kind == "none"
             return best
 
         ratios = []

@@ -43,6 +43,14 @@ class TestStreamRng:
         with pytest.raises(ValueError):
             stream_rng(-1, STREAM_EDGES)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**128])
+    def test_seed_outside_64_bits_is_a_config_error(self, seed):
+        # The key is seed + stream * 2**64, so seed 2**64 on stream 0 would
+        # draw stream 1 of seed 0.
+        with pytest.raises(ConfigError, match=r"in \[0, 2\*\*64\), got "):
+            stream_rng(seed, STREAM_EDGES)
+        assert stream_rng(2**64 - 1, STREAM_EDGES).random() >= 0.0
+
 
 class TestStructure:
     def test_symmetric_zero_diagonal_binary(self):

@@ -35,7 +35,7 @@ from hsbmlab import (
     write_table1,
 )
 from hsbmlab import cli, harness
-from hsbmlab.convex import MAX_ITER
+from hsbmlab.convex import MAX_ITER, SolverResult
 from hsbmlab.harness import FAILURE_KINDS, RESULT_COLUMNS, TABLE_COLUMNS, recover
 
 SMALL = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
@@ -167,7 +167,7 @@ class TestRunTrial:
         observed = sample_observed(config, planted, seed=0)
         rec = recover_convex(observed.to_adjacency(unobserved_as=0),
                              config.collapsed())
-        assert row.success == (rec.succeeded
+        assert row.success == (rec.failure_kind == "none"
                                and partitions_equal(rec.partition, planted))
         assert row.objective == rec.solver.objective
 
@@ -223,6 +223,21 @@ class TestRecover:
         captured = capsys.readouterr()
         assert captured.err == (rec.detail + "\n" if rec.detail else "")
         assert captured.out.startswith("node,label") == (rec.partition is not None)
+
+    @pytest.mark.parametrize("seed, max_iter, kind", [
+        (0, MAX_ITER, "none"), (34, MAX_ITER, "rounding"), (36, 1, "nonconvergence"),
+    ])
+    def test_convex_record_carries_its_solver_result(self, seed, max_iter, kind):
+        graph = sample_adjacency(SMALL, SMALL.planted_partition(), seed)
+        rec = recover("convex", graph, SMALL, max_iter)
+        assert rec.failure_kind == kind
+        assert isinstance(rec.solver, SolverResult)
+        assert rec.solver.converged == (kind != "nonconvergence")
+        assert rec.objective == rec.solver.objective
+        if kind == "nonconvergence":
+            assert rec.solver.iterations == 1
+        for algorithm in ("exhaustive", "counting", "local-search"):
+            assert recover(algorithm, graph, SMALL).solver is None
 
     def test_unknown_algorithm(self):
         graph = sample_adjacency(SMALL, SMALL.planted_partition(), 0)

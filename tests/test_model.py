@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsbmlab import (
-    Cluster,
     ConfigError,
     ModelConfig,
     Partition,
@@ -54,10 +53,6 @@ class TestModelConfig:
         cfg = ModelConfig(10, [(3, 0.9), (4, 0.8)], 0.1)
         assert cfg.n0 == 3
         assert cfg.n_covered == 7
-
-    def test_accepts_cluster_objects(self):
-        cfg = ModelConfig(6, [Cluster(3, 0.9), (3, 0.8)], 0.1)
-        assert cfg.probs.tolist() == [0.9, 0.8]
 
     def test_rejects_p_equal_q(self):
         with pytest.raises(ConfigError):
