@@ -31,7 +31,7 @@ from .harness import (
 )
 from .model import ConfigError, ModelConfig
 from .presets import EXAMPLE_IDS, example_config
-from .regimes import classify, csv_header, csv_row
+from .regimes import classify, csv_cells
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -149,8 +149,8 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         payload = report.to_json()
     else:
-        header = ",".join(csv_header(report))
-        payload = header + "\n" + ",".join(csv_row(report))
+        columns, cells = zip(*csv_cells(report))
+        payload = ",".join(columns) + "\n" + ",".join(cells)
     _write_or_print(payload, args.out)
     if args.out is not None:
         print(f"regime={report.regime}")

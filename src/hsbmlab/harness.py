@@ -29,8 +29,9 @@ from .counting import recover_counting
 from .exhaustive import MAX_EXHAUSTIVE_N, local_search, solve_exhaustive
 from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
 from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
-from .presets import EXAMPLE_IDS, example6_reference_constants, example_config
-from .regimes import classify
+from .presets import (EXAMPLE_IDS, check_example_id, example6_reference_constants,
+                      example_config)
+from .regimes import classify, csv_cell
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
 # Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
@@ -285,8 +286,11 @@ def run_table1(
     value at the previous feasible n of the same preset, making the
     asymptotic satisfied/violated pattern visible as margins drifting above
     or below 1.  Family 6 uses its reference constants unless overridden.
-    Infeasible (example, n) pairs yield a feasible=False row with a note.
+    Infeasible (example, n) pairs yield a feasible=False row with a note;
+    an unknown example id is a ConfigError.
     """
+    for ex in example_ids:
+        check_example_id(ex)
     constants = dict(constants or {})
     rows: list[dict] = []
     for ex in example_ids:
@@ -329,14 +333,6 @@ RESULT_COLUMNS = ["config_id", "algorithm", "trial", "seed", "success",
                   "failure_kind", "objective"]
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_dicts(rows, include_timings: bool = False) -> list[dict]:
     out = []
     for row in rows:
@@ -354,7 +350,7 @@ def write_dicts(dicts: list[dict], path, fmt: str, columns: list[str]) -> None:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for d in dicts:
-                writer.writerow([_cell(d.get(col, "")) for col in columns])
+                writer.writerow([csv_cell(d.get(col, "")) for col in columns])
     elif fmt == "json":
         with open(path, "w") as fh:
             json.dump(dicts, fh, indent=2, sort_keys=True)

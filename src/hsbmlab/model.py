@@ -404,14 +404,15 @@ def chi_square_div(p, q):
     """Chi-square style divergence (p - q)^2 / (q (1 - q)).
 
     Requires q in (0, 1); p may touch the endpoints.  Accepts scalars or
-    numpy arrays (elementwise).
+    numpy arrays (elementwise).  Values outside those ranges, such as a
+    config's q = 0, are a ConfigError.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
-        raise ValueError("q must lie strictly inside (0, 1)")
+        raise ConfigError(f"q must lie strictly inside (0, 1), got {q}")
     if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("p must lie in [0, 1]")
+        raise ConfigError("p must lie in [0, 1]")
     out = (p - q) ** 2 / (q * (1.0 - q))
     return float(out) if out.ndim == 0 else out
 

@@ -208,6 +208,12 @@ _BUILDERS = {1: _example1, 2: _example2, 3: _example3,
              4: _example4, 5: _example5, 6: _example6}
 
 
+def check_example_id(example_id: int) -> None:
+    """Raise ConfigError unless example_id names a preset family."""
+    if example_id not in _BUILDERS:
+        raise ConfigError(f"example_id must be one of {EXAMPLE_IDS}, got {example_id}")
+
+
 def example_config(example_id: int, n: int, constants: dict | None = None) -> ModelConfig:
     """Instantiate scenario preset `example_id` (1-6) at n nodes.
 
@@ -217,8 +223,7 @@ def example_config(example_id: int, n: int, constants: dict | None = None) -> Mo
     realize the template (probabilities outside [0, 1], empty clusters,
     ambient rate not below every cluster's rate).
     """
-    if example_id not in _BUILDERS:
-        raise ConfigError(f"example_id must be one of {EXAMPLE_IDS}, got {example_id}")
+    check_example_id(example_id)
     if n < 2:
         raise ConfigError(f"n must be >= 2, got {n}")
     return _BUILDERS[example_id](int(n), dict(constants or {}))

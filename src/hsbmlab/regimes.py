@@ -16,7 +16,7 @@ Five checkers map a configuration onto the regime taxonomy:
 
 ``classify`` combines them: impossible overrides everything (a contradiction
 with a positive checker is flagged), otherwise simple > easy > hard >
-unknown.
+unknown, the order of ``REGIMES``.
 
 Scores vs margins: every condition reports the raw ratio ``margin =
 lhs/rhs`` and a normalized ``score`` that is >= 1 exactly when the condition
@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .model import (
+    ConfigError,
     DerivedStats,
     ModelConfig,
     chi_square_div,
@@ -53,6 +54,12 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
+def _require_positive(name: str, value: float) -> None:
+    """A checker constant must be a positive number (not NaN)."""
+    if not value > 0.0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """One inequality: lhs vs rhs, its raw ratio, and a normalized score
@@ -68,36 +75,22 @@ class ConditionReport:
     note: str = ""
 
     @classmethod
+    def _of(cls, condition_id: str, lhs: float, rhs: float, score: float,
+            satisfied: bool, note: str) -> "ConditionReport":
+        return cls(condition_id, float(lhs), float(rhs), _ratio(lhs, rhs),
+                   float(score), bool(satisfied), note=note)
+
+    @classmethod
     def ge(cls, condition_id: str, lhs: float, rhs: float, constant: float = 1.0,
            note: str = "") -> "ConditionReport":
         """lhs >= constant * rhs."""
-        score = _ratio(lhs, constant * rhs)
-        return cls(
-            condition_id=condition_id,
-            lhs=float(lhs),
-            rhs=float(rhs),
-            margin=_ratio(lhs, rhs),
-            score=float(score),
-            satisfied=bool(lhs >= constant * rhs),
-            note=note,
-        )
+        return cls._of(condition_id, lhs, rhs, _ratio(lhs, constant * rhs),
+                       lhs >= constant * rhs, note)
 
     @classmethod
     def le(cls, condition_id: str, lhs: float, rhs: float, note: str = "") -> "ConditionReport":
         """lhs <= rhs."""
-        if lhs == 0.0:
-            score = math.inf
-        else:
-            score = rhs / lhs
-        return cls(
-            condition_id=condition_id,
-            lhs=float(lhs),
-            rhs=float(rhs),
-            margin=_ratio(lhs, rhs),
-            score=float(score),
-            satisfied=bool(lhs <= rhs),
-            note=note,
-        )
+        return cls._of(condition_id, lhs, rhs, _ratio(rhs, lhs), lhs <= rhs, note)
 
     @classmethod
     def inapplicable(cls, condition_id: str, note: str) -> "ConditionReport":
@@ -105,16 +98,7 @@ class ConditionReport:
                    satisfied=False, applicable=False, note=note)
 
     def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "score": self.score,
-            "satisfied": self.satisfied,
-            "applicable": self.applicable,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -136,14 +120,7 @@ class RegimeCheck:
         raise KeyError(condition_id)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "satisfied": self.satisfied,
-            "applicable": self.applicable,
-            "binding_margin": self.binding_margin,
-            "reports": [r.to_dict() for r in self.reports],
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
 
 def _binding_from(core: list[ConditionReport], tail_scores: list[float] | None = None) -> float:
@@ -184,6 +161,7 @@ def check_easy_clusterwise(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
     at most O1_THRESHOLD for some alpha in ALPHA_GRID (vanishing-size-tail
     surrogate).
     """
+    _require_positive("C", C)
     st = derived_stats(config)
     sizes, _, counts = config.runs
     sizes = sizes.astype(float)
@@ -216,6 +194,7 @@ def check_easy_clusterwise(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
 def check_easy_global(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
     """Convex-recovery conditions with global log n factors (no size-tail
     condition; suited to comparable cluster sizes)."""
+    _require_positive("C", C)
     st = derived_stats(config)
     log_n = math.log(config.n)
     rep_i = _cluster_signal(config, st, log_n, C)
@@ -241,8 +220,7 @@ def check_hard(config: ModelConfig, eta: float = DEFAULT_ETA) -> RegimeCheck:
     4(17+eta)(1/3 + (p_min(1-p_min)+q(1-q))/(p_min-q)) log n.  The reported
     failure probability bound is 5 (p_max-q)/(p_min-q) n^(2-eta).
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _require_positive("eta", eta)
     st = derived_stats(config)
     if st.n_min < 2 or config.n < 8:
         rep = ConditionReport.inapplicable(
@@ -347,18 +325,12 @@ def check_simple(config: ModelConfig) -> RegimeCheck:
         cross_peak = q * (cross_pair_peak(config) + n * q)
         bracket = intra_floor - cross_peak
         rhs_pair = 26.0 * (1.0 - q**2) * (float(np.max(sizes * probs**2)) + n * q**2) * log_n
-        if bracket >= 0.0:
-            rep_pair = ConditionReport.ge(
-                "common_neighbor_gap", bracket**2, rhs_pair,
-                note=f"gap = {bracket!r}",
-            )
-        else:
-            rep_pair = ConditionReport(
-                condition_id="common_neighbor_gap",
-                lhs=bracket**2, rhs=rhs_pair, margin=_ratio(bracket**2, rhs_pair),
-                score=0.0, satisfied=False,
-                note=f"gap = {bracket!r} is negative",
-            )
+        rep_pair = ConditionReport.ge(
+            "common_neighbor_gap", bracket**2, rhs_pair, note=f"gap = {bracket!r}",
+        )
+        if bracket < 0.0:  # its square says nothing then: the condition fails
+            rep_pair = replace(rep_pair, score=0.0, satisfied=False,
+                               note=f"{rep_pair.note} is negative")
         reports = (rep_iso, rep_pair)
     else:
         reports = (rep_iso, ConditionReport.inapplicable(
@@ -403,16 +375,15 @@ class RegimeReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-CHECK_ORDER = ("easy_clusterwise", "easy_global", "hard", "impossible", "simple")
-
-
 def classify(
     config: ModelConfig,
     C: float = 1.0,
     eta: float = DEFAULT_ETA,
     config_id: str = "",
 ) -> RegimeReport:
-    """Run all five checkers and resolve the regime label."""
+    """Run all five checkers and resolve the regime label.
+
+    The checks dict's order is the order of the CSV columns."""
     checks = {
         "easy_clusterwise": check_easy_clusterwise(config, C),
         "easy_global": check_easy_global(config, C),
@@ -420,27 +391,13 @@ def classify(
         "impossible": check_impossible(config),
         "simple": check_simple(config),
     }
-    positive = (
-        checks["simple"].satisfied
-        or checks["easy_clusterwise"].satisfied
-        or checks["easy_global"].satisfied
-        or checks["hard"].satisfied
-    )
-    if checks["impossible"].satisfied:
-        regime = "impossible"
-    elif checks["simple"].satisfied:
-        regime = "simple"
-    elif checks["easy_clusterwise"].satisfied or checks["easy_global"].satisfied:
-        regime = "easy"
-    elif checks["hard"].satisfied:
-        regime = "hard"
-    else:
-        regime = "unknown"
+    # The regimes whose check is satisfied; either easy_* check grants "easy".
+    granted = {name.partition("_")[0] for name, chk in checks.items() if chk.satisfied}
     return RegimeReport(
         config=config,
         checks=checks,
-        regime=regime,
-        contradiction=bool(checks["impossible"].satisfied and positive),
+        regime=next((regime for regime in REGIMES if regime in granted), "unknown"),
+        contradiction="impossible" in granted and len(granted) > 1,
         params={
             "C": C,
             "eta": eta,
@@ -451,23 +408,26 @@ def classify(
     )
 
 
-def csv_header(report: RegimeReport) -> list[str]:
-    cols = ["config_id", "regime", "contradiction"]
-    for name in CHECK_ORDER:
-        chk = report.checks[name]
-        cols += [f"{name}.satisfied", f"{name}.binding_margin"]
+def csv_cell(value) -> str:
+    """One CSV cell: booleans in lower case, floats as their exact repr."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_cells(report: RegimeReport) -> list[tuple[str, str]]:
+    """The report's CSV line as (column, cell) pairs: the report's labels,
+    then each check's verdict, binding margin and conditions, in the
+    checks' order."""
+    cells = [("config_id", report.config_id), ("regime", report.regime),
+             ("contradiction", report.contradiction)]
+    for name, chk in report.checks.items():
+        cells += [(f"{name}.satisfied", chk.satisfied),
+                  (f"{name}.binding_margin", chk.binding_margin)]
         for rep in chk.reports:
             base = f"{name}.{rep.condition_id}"
-            cols += [f"{base}.lhs", f"{base}.rhs", f"{base}.margin", f"{base}.satisfied"]
-    return cols
-
-
-def csv_row(report: RegimeReport) -> list[str]:
-    vals: list[str] = [report.config_id, report.regime, str(report.contradiction).lower()]
-    for name in CHECK_ORDER:
-        chk = report.checks[name]
-        vals += [str(chk.satisfied).lower(), repr(chk.binding_margin)]
-        for rep in chk.reports:
-            vals += [repr(rep.lhs), repr(rep.rhs), repr(rep.margin),
-                     str(rep.satisfied).lower()]
-    return vals
+            cells += [(f"{base}.{key}", getattr(rep, key))
+                      for key in ("lhs", "rhs", "margin", "satisfied")]
+    return [(column, csv_cell(value)) for column, value in cells]

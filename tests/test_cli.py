@@ -129,6 +129,29 @@ class TestClassify:
         assert "int64 range" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--example", "1", "--n", "10000", "--eta", "0"], "eta must be positive, got 0.0"),
+        (["--example", "2", "--n", "1000", "--constant-C", "-1"],
+         "C must be positive, got -1.0"),
+        (["--example", "2", "--n", "1000", "--constant-C", "nan"],
+         "C must be positive, got nan"),
+    ])
+    def test_bad_constant_exits_2(self, flags, reason, capsys):
+        assert main(["classify", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n"
+        assert captured.out == ""
+
+    def test_zero_q_exits_2(self, tmp_path, capsys):
+        # ModelConfig accepts q = 0, but the divergences need q in (0, 1).
+        config = tmp_path / "q0.json"
+        config.write_text(json.dumps({"n": 20, "q": 0.0,
+                                      "clusters": [[10, 0.9], [10, 0.8]]}))
+        assert main(["classify", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: q must lie strictly inside (0, 1), got 0.0\n"
+        assert captured.out == ""
+
 
 class TestRecover:
     def test_convex_success_prints_labels(self, small_config, small_graph, capsys):
@@ -616,6 +639,16 @@ class TestTable1:
         assert main(["table1", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag}: {reason}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--eta", "-1"], "eta must be positive, got -1.0"),
+        (["--examples", "1,7"], "example_id must be one of (1, 2, 3, 4, 5, 6), got 7"),
+    ])
+    def test_bad_input_exits_2(self, flags, reason, capsys):
+        assert main(["table1", "--n-grid", "1e4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n"
         assert captured.out == ""
 
     def test_nonpositive_n_gives_infeasible_rows(self, capsys):

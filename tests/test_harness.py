@@ -489,6 +489,10 @@ class TestRunTable1:
             assert math.isnan(rows[1][f"{short}_trend"])
             assert math.isfinite(rows[2][f"{short}_trend"])
 
+    def test_unknown_example_id_refused(self):
+        with pytest.raises(ConfigError, match="example_id must be one of"):
+            run_table1((10**4,), example_ids=(1, 7))
+
     def test_small_n_rows_infeasible_for_every_preset(self):
         # Family 6's reference constants take log n, so they too must
         # refuse n < 2 with the note the other presets give.

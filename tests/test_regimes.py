@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hsbmlab import (
+    ConfigError,
     ModelConfig,
     check_easy_clusterwise,
     check_easy_global,
@@ -25,7 +26,7 @@ from hsbmlab import (
     example_config,
     run_table1,
 )
-from hsbmlab.regimes import CHECK_ORDER, csv_header, csv_row
+from hsbmlab.regimes import csv_cells
 
 REL = 1e-12
 
@@ -172,6 +173,14 @@ class TestHard:
             check_hard(cfg, eta=0.0)
         with pytest.raises(ValueError):
             check_hard(cfg, eta=-1.0)
+        with pytest.raises(ConfigError, match="eta must be positive, got nan"):
+            check_hard(cfg, eta=math.nan)
+
+    @pytest.mark.parametrize("check", [check_easy_clusterwise, check_easy_global])
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan])
+    def test_easy_refuses_nonpositive_constant(self, check, C):
+        with pytest.raises(ConfigError, match="C must be positive"):
+            check(CFG_EASY, C=C)
 
     def test_inapplicable_below_hypotheses(self):
         for cfg in (
@@ -380,15 +389,15 @@ class TestEmission:
         assert data["regime"] == "easy"
         assert data["config_id"] == "c1"
         assert data["config"]["n"] == 200
-        assert set(data["checks"]) == set(CHECK_ORDER)
+        assert set(data["checks"]) == {"easy_clusterwise", "easy_global", "hard",
+                                       "impossible", "simple"}
         sig = data["checks"]["easy_clusterwise"]["reports"][0]
         assert sig["condition_id"] == "cluster_signal"
         assert close(sig["lhs"], 2025.0)
 
     def test_csv_row_matches_header(self):
         rep = classify(CFG_EASY, config_id="c1")
-        header = csv_header(rep)
-        row = csv_row(rep)
+        header, row = zip(*csv_cells(rep))
         assert len(header) == len(row)
         assert header[0] == "config_id" and row[0] == "c1"
         assert header[1] == "regime" and row[1] == "easy"
@@ -401,9 +410,7 @@ class TestEmission:
 
     def test_csv_booleans_lowercase(self):
         rep = classify(CFG_EASY)
-        row = csv_row(rep)
-        header = csv_header(rep)
-        for col, val in zip(header, row):
+        for col, val in csv_cells(rep):
             if col.endswith(".satisfied") or col == "contradiction":
                 assert val in ("true", "false"), (col, val)
 
