@@ -140,6 +140,12 @@ class TestEasyGlobal:
             "cluster_signal", "separation", "density_floor",
         }
 
+    @pytest.mark.parametrize("check", [check_easy_clusterwise, check_easy_global])
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan])
+    def test_refuses_nonpositive_constant(self, check, C):
+        with pytest.raises(ConfigError, match="C must be positive"):
+            check(CFG_EASY, C=C)
+
 
 class TestHard:
     def test_unsatisfied_values(self):
@@ -175,12 +181,6 @@ class TestHard:
             check_hard(cfg, eta=-1.0)
         with pytest.raises(ConfigError, match="eta must be positive, got nan"):
             check_hard(cfg, eta=math.nan)
-
-    @pytest.mark.parametrize("check", [check_easy_clusterwise, check_easy_global])
-    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan])
-    def test_easy_refuses_nonpositive_constant(self, check, C):
-        with pytest.raises(ConfigError, match="C must be positive"):
-            check(CFG_EASY, C=C)
 
     def test_inapplicable_below_hypotheses(self):
         for cfg in (
