@@ -1,9 +1,12 @@
-"""Byte-level pins of the regime outputs.
+"""Byte-level pins of the regime outputs and of the graph files.
 
 Each case runs the command line (`hsbmlab.cli.main`) with --out and
 compares the sha256 of the written file with a recorded digest, so a
 refactor of the classification code must leave every byte in place:
-column order, float reprs, JSON key order and line endings.
+column order, float reprs, JSON key order and line endings.  The same
+holds for `generate` files, fully observed (gamma = 1) and partial, and
+for what `recover` prints on them: its exit code and the sha256 of its
+stdout and stderr.
 `tests/data/frozen_regimes.json` compares the same numbers at 1e-12 and
 would not see a last-bit change.  The digests were recorded with
 numpy 2.4 on x86-64 Linux; a different libm may move the last bits of
@@ -14,6 +17,7 @@ grows with the cluster count.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -69,3 +73,104 @@ def test_classify_bytes(tmp_path, example, n, fmt):
 def test_table1_bytes(tmp_path):
     digest = written_digest(tmp_path, ["table1", "--n-grid", TABLE1_GRID])
     assert digest == TABLE1_DIGEST
+
+
+# Two clusters and 10 isolated nodes on 60 nodes; preset 3 at n = 200 has
+# clusters of 3 beside clusters of 100.
+SMALL_CONFIG = {"n": 60, "q": 0.05, "clusters": [[30, 0.9], [20, 0.8]]}
+GRAPH_SOURCES = {
+    "small": ["--config", "{config}"],
+    "example3": ["--example", "3", "--n", "200"],
+}
+GENERATE_DIGESTS = {
+    ("small", "1", 3):
+        "6ea3a1a4299ec58836a036a1caf0cd0ac26f778f5a2da9c0f8da48d791ffda9b",
+    ("small", "1", 7):
+        "e3661508f31e7c07448d3115c4c3fb5b753511f18fd86e2c6f5c0bea2ce9c35c",
+    ("small", "0.6", 3):
+        "dc90446d67282f20614982db1335693dac5f77a51a1d00b21005aad14f25b758",
+    ("small", "0.6", 7):
+        "3dca153752a68e376a9703acfae2ad33a79eccd4cbe0f47bffec00595e1bebe4",
+    ("example3", "1", 0):
+        "285d39a96faed345d2820c91c682533569bf455042f7f8c40f428a6a20e241b0",
+    ("example3", "1", 1):
+        "0cdad256e5baa98b6ca33d414ebe9e435c18188004d972ae5a2e295678782936",
+    ("example3", "0.6", 0):
+        "5fff2d36acc59daa71da8de788e5152491f1d00d9049a28a197331bc170ef8ad",
+    ("example3", "0.6", 1):
+        "ee7ae2d8a77c8e5b47c5e7137edf6ed672852e287a6c5057ec2efab94eed42a9",
+}
+# (source, gamma, seed, algorithm) -> (exit code, stdout sha256, stderr sha256)
+EMPTY = hashlib.sha256(b"").hexdigest()
+RECOVER_DIGESTS = {
+    ("small", "1", 3, "counting"): (0,
+        "53f812eeef22eef85325d39914b7ce47b65e6cdd7f41cb30390e7680c3e3446a",
+        EMPTY),
+    ("small", "1", 3, "convex"): (0,
+        "53f812eeef22eef85325d39914b7ce47b65e6cdd7f41cb30390e7680c3e3446a",
+        EMPTY),
+    ("small", "1", 7, "counting"): (2,
+        EMPTY,
+        "9057333dc959b85e020a9640522efc9199a516f5a942224827f54af7da32ecdf"),
+    ("small", "1", 7, "convex"): (0,
+        "53f812eeef22eef85325d39914b7ce47b65e6cdd7f41cb30390e7680c3e3446a",
+        EMPTY),
+    ("small", "0.6", 3, "counting"): (2,
+        EMPTY,
+        "c004225d0cc5b393173cf6f275df6ecb829f2c4f3b257027d0a9f930f6d64839"),
+    ("small", "0.6", 3, "convex"): (0,
+        "53f812eeef22eef85325d39914b7ce47b65e6cdd7f41cb30390e7680c3e3446a",
+        EMPTY),
+    ("small", "0.6", 7, "counting"): (2,
+        EMPTY,
+        "3f605287519d11e21c96aa6387f29e7545b18faf7767386c84fb8cabe4cc956e"),
+    ("small", "0.6", 7, "convex"): (0,
+        "53f812eeef22eef85325d39914b7ce47b65e6cdd7f41cb30390e7680c3e3446a",
+        EMPTY),
+    ("example3", "1", 0, "counting"): (2,
+        EMPTY,
+        "3888a706cf76ea94708fcead0ca7cc7070ac99b6cf64054bc57552786cfbcfe3"),
+    ("example3", "1", 1, "counting"): (2,
+        EMPTY,
+        "57d0761997400a775fb73395d6d9204cd66013d412b99da2c7893f57806b98f0"),
+    ("example3", "0.6", 0, "counting"): (2,
+        EMPTY,
+        "5b97e0f6ad27a4e9844a5858392dbc740dd300ac18c7ef79d58849dbcef16c9c"),
+    ("example3", "0.6", 1, "counting"): (2,
+        EMPTY,
+        "69576ec364325baacc1f8769702479d1593637d61b9086f7c9dfc83141e3044d"),
+}
+
+
+def sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def generated_graph(tmp_path, source, gamma, seed):
+    """Run `generate` for one draw; returns (the source"s flags, file path)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    flags = [arg.format(config=config) for arg in GRAPH_SOURCES[source]]
+    flags += ["--gamma", gamma]
+    graph = tmp_path / "graph.txt"
+    assert main(["generate", *flags, "--seed", str(seed), "--out", str(graph)]) == 0
+    return flags, graph
+
+
+@pytest.mark.parametrize("source, gamma, seed", sorted(GENERATE_DIGESTS))
+def test_generate_bytes(tmp_path, source, gamma, seed):
+    _, graph = generated_graph(tmp_path, source, gamma, seed)
+    assert sha256(graph.read_bytes()) == GENERATE_DIGESTS[source, gamma, seed]
+
+
+@pytest.mark.parametrize("source, gamma, seed, algorithm", sorted(RECOVER_DIGESTS))
+def test_recover_output(tmp_path, capsys, source, gamma, seed, algorithm):
+    flags, graph = generated_graph(tmp_path, source, gamma, seed)
+    capsys.readouterr()
+    code = main(["recover", *flags, "--algorithm", algorithm,
+                 "--adjacency", str(graph)])
+    captured = capsys.readouterr()
+    assert (code, sha256(captured.out), sha256(captured.err)) == \
+        RECOVER_DIGESTS[source, gamma, seed, algorithm]
