@@ -41,14 +41,7 @@ from .generate import (
     sample_observed,
     stream_rng,
 )
-from .graphio import (
-    GraphFormatError,
-    read_adjacency,
-    read_graph,
-    read_observed,
-    write_adjacency,
-    write_observed,
-)
+from .graphio import GraphFormatError, read_graph, write_graph
 from .harness import (
     ALGORITHMS,
     ExperimentSpec,

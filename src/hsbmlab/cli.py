@@ -19,7 +19,7 @@ import sys
 
 from .convex import MAX_ITER, check_max_iter
 from .generate import sample_adjacency, sample_observed
-from .graphio import read_graph, write_adjacency, write_observed
+from .graphio import read_graph, write_graph
 from .harness import (
     ALGORITHMS,
     ExperimentSpec,
@@ -134,11 +134,9 @@ def cmd_generate(args) -> int:
     partition = config.planted_partition()
     if args.out is None:
         raise ConfigError("generate requires --out")
-    if config.gamma < 1.0:
-        graph, write = sample_observed(config, partition, args.seed), write_observed
-    else:
-        graph, write = sample_adjacency(config, partition, args.seed), write_adjacency
-    _on_file("--out", args.out, lambda path: write(path, graph))
+    sample = sample_observed if config.gamma < 1.0 else sample_adjacency
+    graph = sample(config, partition, args.seed)
+    _on_file("--out", args.out, lambda path: write_graph(path, graph))
     print(f"wrote {args.out} (n={config.n}, gamma={config.gamma:g}, seed={args.seed})")
     return EXIT_OK
 

@@ -77,6 +77,20 @@ def _symmetrize_from_upper(n: int, upper: np.ndarray, dtype=np.int8) -> np.ndarr
     return m
 
 
+def _check_graph_matrix(m: np.ndarray, name: str, allowed: tuple[int, ...],
+                        entries_message: str) -> None:
+    """Refuse a matrix that is not square, symmetric and zero on the
+    diagonal with entries in `allowed`."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.array_equal(m, m.T):
+        raise ValueError(f"{name} must be symmetric")
+    if np.any(np.diag(m) != 0):
+        raise ValueError(f"{name} must have zero diagonal")
+    if not np.isin(m, allowed).all():
+        raise ValueError(entries_message)
+
+
 @dataclass(frozen=True, eq=False)
 class Adjacency:
     """Symmetric 0/1 adjacency matrix with zero diagonal."""
@@ -84,15 +98,8 @@ class Adjacency:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(m) != 0):
-            raise ValueError("adjacency must have zero diagonal")
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
+        _check_graph_matrix(self.matrix, "adjacency", (0, 1),
+                            "adjacency entries must be 0 or 1")
 
     @property
     def n(self) -> int:
@@ -124,15 +131,8 @@ class ObservedMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"observed matrix must be square, got shape {v.shape}")
-        if not np.array_equal(v, v.T):
-            raise ValueError("observed matrix must be symmetric")
-        if np.any(np.diag(v) != 0):
-            raise ValueError("observed matrix must have zero diagonal")
-        if not np.isin(v, (UNOBSERVED, 0, 1)).all():
-            raise ValueError("observed entries must be -1, 0 or 1")
+        _check_graph_matrix(self.values, "observed matrix", (UNOBSERVED, 0, 1),
+                            "observed entries must be -1, 0 or 1")
 
     @property
     def n(self) -> int:
@@ -147,29 +147,26 @@ class ObservedMatrix:
         return Adjacency(m.astype(np.int8))
 
 
+def _sample_edges(config: ModelConfig, partition: Partition, seed: int) -> np.ndarray:
+    """Upper-triangle 0/1 edge indicators drawn from stream 0."""
+    _check_partition(config, partition)
+    u = _upper_triangle_uniforms(config.n, seed, STREAM_EDGES)
+    return (u < _pair_probabilities(config, partition)).astype(np.int8)
+
+
 def sample_adjacency(config: ModelConfig, partition: Partition, seed: int) -> Adjacency:
     """Draw one fully observed adjacency matrix (the observation rate is
     ignored here; see sample_observed)."""
-    _check_partition(config, partition)
-    probs = _pair_probabilities(config, partition)
-    u = _upper_triangle_uniforms(config.n, seed, STREAM_EDGES)
-    edges = (u < probs).astype(np.int8)
+    edges = _sample_edges(config, partition, seed)
     return Adjacency(_symmetrize_from_upper(config.n, edges))
 
 
 def sample_observed(config: ModelConfig, partition: Partition, seed: int) -> ObservedMatrix:
     """Draw the (adjacency, mask) coupled pair: stream 0 decides edges exactly
     as sample_adjacency does, stream 1 reveals each pair with probability
-    gamma."""
-    _check_partition(config, partition)
-    probs = _pair_probabilities(config, partition)
-    u_edge = _upper_triangle_uniforms(config.n, seed, STREAM_EDGES)
-    edges = (u_edge < probs).astype(np.int8)
-    if config.gamma >= 1.0:
-        observed = np.ones_like(edges, dtype=bool)
-    else:
-        u_obs = _upper_triangle_uniforms(config.n, seed, STREAM_OBSERVATION)
-        observed = u_obs < config.gamma
+    gamma (every pair at gamma = 1, since each uniform is below 1)."""
+    edges = _sample_edges(config, partition, seed)
+    observed = _upper_triangle_uniforms(config.n, seed, STREAM_OBSERVATION) < config.gamma
     upper = np.where(observed, edges, np.int8(UNOBSERVED))
     return ObservedMatrix(_symmetrize_from_upper(config.n, upper))
 

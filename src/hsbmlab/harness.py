@@ -31,7 +31,7 @@ from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_obser
 from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
 from .presets import (EXAMPLE_IDS, check_example_id, example6_reference_constants,
                       example_config)
-from .regimes import classify, csv_cell
+from .regimes import _require_positive, classify, csv_cell
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
 # Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
@@ -287,10 +287,13 @@ def run_table1(
     asymptotic satisfied/violated pattern visible as margins drifting above
     or below 1.  Family 6 uses its reference constants unless overridden.
     Infeasible (example, n) pairs yield a feasible=False row with a note;
-    an unknown example id is a ConfigError.
+    an unknown example id or a non-positive C or eta is a ConfigError,
+    raised before any row.
     """
     for ex in example_ids:
         check_example_id(ex)
+    _require_positive("C", C)
+    _require_positive("eta", eta)
     constants = dict(constants or {})
     rows: list[dict] = []
     for ex in example_ids:

@@ -556,6 +556,9 @@ class TestInputFiles:
         "bare-header": ("2\n", "header must be 'n m', got '2'"),
         "short-header": ("10 3\n0 1\n", "header promises 3 pair lines"),
         "non-integer-pair": ("10 1\na b\n", "invalid literal for int()"),
+        "repeated-edge": ("10 2\n0 1\n0 1\n", "pair (0, 1) listed twice"),
+        "repeated-observed-pair": ("10 2\n0 1 1\n1 0 0\n",
+                                   "pair (0, 1) listed twice"),
     }
 
     @staticmethod
@@ -644,6 +647,11 @@ class TestTable1:
     @pytest.mark.parametrize("flags, reason", [
         (["--eta", "-1"], "eta must be positive, got -1.0"),
         (["--examples", "1,7"], "example_id must be one of (1, 2, 3, 4, 5, 6), got 7"),
+        # n = 5 is infeasible for preset 1, so no row reaches classify.
+        (["--n-grid", "5", "--eta", "-1", "--examples", "1"],
+         "eta must be positive, got -1.0"),
+        (["--n-grid", "5", "--constant-C", "0", "--examples", "1"],
+         "C must be positive, got 0.0"),
     ])
     def test_bad_input_exits_2(self, flags, reason, capsys):
         assert main(["table1", "--n-grid", "1e4", *flags]) == 2

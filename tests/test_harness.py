@@ -30,7 +30,7 @@ from hsbmlab import (
     sample_adjacency,
     sample_observed,
     wilson_interval,
-    write_adjacency,
+    write_graph,
     write_results,
     write_table1,
 )
@@ -188,8 +188,8 @@ def write_inputs(tmp_path, config, seed):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_dict()))
     graph_path = tmp_path / "graph.txt"
-    write_adjacency(graph_path,
-                    sample_adjacency(config, config.planted_partition(), seed))
+    write_graph(graph_path,
+                sample_adjacency(config, config.planted_partition(), seed))
     return str(config_path), str(graph_path)
 
 
