@@ -6,7 +6,8 @@ refactor of the classification code must leave every byte in place:
 column order, float reprs, JSON key order and line endings.  The same
 holds for `generate` files, fully observed (gamma = 1) and partial, and
 for what `recover` prints on them: its exit code and the sha256 of its
-stdout and stderr.
+stdout and stderr, and for `montecarlo`'s CSV and JSON row files and its
+stdout summary, which must not depend on the worker count.
 `tests/data/frozen_regimes.json` compares the same numbers at 1e-12 and
 would not see a last-bit change.  The digests were recorded with
 numpy 2.4 on x86-64 Linux; a different libm may move the last bits of
@@ -174,3 +175,54 @@ def test_recover_output(tmp_path, capsys, source, gamma, seed, algorithm):
     captured = capsys.readouterr()
     assert (code, sha256(captured.out), sha256(captured.err)) == \
         RECOVER_DIGESTS[source, gamma, seed, algorithm]
+
+
+# An 8-node config of three pairs that the exhaustive scan affords, and on
+# which most draws tie.  Between them the cases give every failure kind:
+# small at gamma 1 none and counting; small at gamma 0.6 with max_iter 3
+# nonconvergence; tiny rounding, counting and tie.
+TINY_CONFIG = {"n": 8, "q": 0.2, "clusters": [[2, 0.3], [2, 0.3], [2, 0.3]]}
+THREE = ["convex", "counting", "local-search"]
+FOUR = ["convex", "exhaustive", "counting", "local-search"]
+MONTECARLO_SPECS = {
+    ("small", "1"): {"config": SMALL_CONFIG, "algorithms": THREE, "trials": 4},
+    ("small", "0.6"): {"config": SMALL_CONFIG, "algorithms": THREE, "trials": 4,
+                       "solver": {"max_iter": 3}},
+    ("tiny", "1"): {"config": TINY_CONFIG, "algorithms": FOUR, "trials": 4},
+    ("tiny", "0.6"): {"config": TINY_CONFIG, "algorithms": FOUR, "trials": 4},
+}
+# (config, gamma) -> (CSV sha256, JSON sha256, stdout sha256)
+MONTECARLO_DIGESTS = {
+    ("small", "1"): (
+        "2455d7902c68ad976f2b045cc2b6ea64436adb664728f576177432be8af7f5d3",
+        "07887d8686e9491a4cb6efe17824fe8712b2076d7525f5a1936e5bfb1d323a9f",
+        "c2a9703a965fa9a1dc3dd79cf05440e24fa9b0c1c12b313d0b0979aef29a1502"),
+    ("small", "0.6"): (
+        "7d5c133681780e06711b0d7fb327fb00c1eafc3eebd56a3962213297e3b703ca",
+        "9c623298d6a54ee1c624b416f0c7b596d3f35d573eacef05d2cbb22315e878cb",
+        "e15ec0ed582efe274ed61bc93b70ed949d856ac65d352ea4dcb590261ddf54b3"),
+    ("tiny", "1"): (
+        "49932c954ac2b75c53154b544351e513f0d233bc3a642bbf07095c775176a2a8",
+        "b01185d1dd9bde6b2ca2b66e82dd68f57ea2e1db7039f844326afc1550a7298e",
+        "6aed4c14290061099af83e976a0ac67b358253a1375b8ebd9a62ec00f13f578c"),
+    ("tiny", "0.6"): (
+        "9ce97b11cc0aef8eb87eb6cb84b88d46f7a710168d44f7a4dcfb4aa3ee36f0f3",
+        "dd03a90dd0e45e9c6d9929ac135c43b583d7740b21e8924af5460b710f976604",
+        "dcb7a8dcf5bf75e9586d9c20b589a7798f9b8965acae58e5ed10ca8e985b1e87"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("source, gamma", sorted(MONTECARLO_DIGESTS))
+def test_montecarlo_output(tmp_path, capsys, source, gamma, workers):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(MONTECARLO_SPECS[source, gamma]))
+    files, stdout = [], set()
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["montecarlo", "--spec", str(spec), "--gamma", gamma,
+                     "--workers", workers, "--format", fmt, "--out", str(out)]) == 0
+        files.append(sha256(out.read_bytes()))
+        stdout.add(capsys.readouterr().out)
+    assert len(stdout) == 1
+    assert (*files, sha256(stdout.pop())) == MONTECARLO_DIGESTS[source, gamma]
