@@ -26,10 +26,8 @@ from .exhaustive import (
     MAX_EXHAUSTIVE_N,
     ExhaustiveResult,
     LocalSearchResult,
-    enumerate_partitions,
     local_search,
     objective,
-    partition_count,
     solve_exhaustive,
 )
 from .generate import (

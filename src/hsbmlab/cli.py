@@ -82,9 +82,12 @@ CONFIG_SOURCE = ("--gamma", "--config", "--example", "--n", "--constant")
 
 def _on_file(flag: str, path: str, use):
     """use(path) for the file a flag names; a file that cannot be opened,
-    written, decoded or parsed is a ConfigError naming the flag and path."""
+    written, decoded or parsed is a ConfigError naming the flag and path.
+    A ConfigError that use raises itself passes through unchanged."""
     try:
         return use(path)
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # malformed JSON, bad encoding, GraphFormatError
@@ -166,7 +169,8 @@ def _max_iter(fields) -> int:
 
 def cmd_recover(args) -> int:
     config = _config_from_args(args)
-    graph = _on_file("--adjacency", args.adjacency, read_graph)
+    graph = _on_file("--adjacency", args.adjacency,
+                     lambda path: read_graph(path, config.n))
     max_iter = _max_iter({"max_iter": args.max_iter})
     rec = recover(args.algorithm, graph, config, max_iter, seed=args.seed,
                   restarts=args.restarts)
@@ -203,19 +207,27 @@ def cmd_bench_spectral(args) -> int:
     return EXIT_OK
 
 
-def _spec_int(raw: dict, field: str, default: int) -> int:
-    """An integer field of a spec file: a JSON integer, not a bool."""
+# What each Python type of a spec field is called in a message.
+SPEC_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def _spec_field(raw: dict, field: str, default, kind: type):
+    """A field of a spec file, of the given kind: a JSON integer (not a
+    bool), string, object or list."""
     value = raw.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"spec field {field!r} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(
+            f"spec field {field!r} must be {SPEC_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _spec_from_file(path: str, args) -> ExperimentSpec:
     raw = _on_file("--spec", path, _json_object)
     if "example" in raw:
-        ex = raw["example"]
-        config = example_config(ex["id"], ex["n"], ex.get("constants"))
+        ex = _spec_field(raw, "example", None, dict)
+        config = example_config(_spec_field(ex, "id", None, int),
+                                _spec_field(ex, "n", None, int),
+                                _spec_field(ex, "constants", {}, dict))
     elif "config" in raw:
         config = ModelConfig.from_dict(raw["config"])
     else:
@@ -224,12 +236,12 @@ def _spec_from_file(path: str, args) -> ExperimentSpec:
     max_iter = _max_iter(raw.get("solver", {}))
     return ExperimentSpec(
         config=config,
-        algorithms=tuple(raw.get("algorithms", ["convex"])),
-        trials=_spec_int(raw, "trials", 10),
-        base_seed=_spec_int(raw, "base_seed", args.seed),
-        config_id=str(raw.get("config_id", "config")),
+        algorithms=tuple(_spec_field(raw, "algorithms", ["convex"], list)),
+        trials=_spec_field(raw, "trials", 10, int),
+        base_seed=_spec_field(raw, "base_seed", args.seed, int),
+        config_id=_spec_field(raw, "config_id", "config", str),
         max_iter=max_iter,
-        restarts=_spec_int(raw, "restarts", 10),
+        restarts=_spec_field(raw, "restarts", 10, int),
     )
 
 

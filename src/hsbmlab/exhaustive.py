@@ -46,22 +46,11 @@ MAX_EXHAUSTIVE_N = 14
 _BATCH_ROWS = 4096
 
 
-def partition_count(config: ModelConfig) -> int:
-    """Number of distinct ways to place the prescribed clusters in [n]:
-    n! / ((n - n_bar)! * prod_k n_k!) divided by prod over repeated sizes
-    (equal-size clusters are unordered)."""
-    total = math.factorial(config.n) // math.factorial(config.n0)
-    mult: dict[int, int] = {}
-    for s in config.sizes.tolist():
-        total //= math.factorial(s)
-        mult[s] = mult.get(s, 0) + 1
-    for count in mult.values():
-        total //= math.factorial(count)
-    return total
-
-
 def _log10_partition_count(config: ModelConfig) -> float:
-    """log10 of partition_count via lgamma, safe for astronomically large n."""
+    """log10 of the number of admissible partitions,
+    n! / ((n - n_bar)! * prod_k n_k!) divided by prod over repeated sizes
+    (equal-size clusters are unordered), via lgamma, safe for
+    astronomically large n."""
     total = math.lgamma(config.n + 1) - math.lgamma(config.n0 + 1)
     mult: dict[int, int] = {}
     for s in config.sizes.tolist():
@@ -70,6 +59,22 @@ def _log10_partition_count(config: ModelConfig) -> float:
     for count in mult.values():
         total -= math.lgamma(count + 1)
     return total / math.log(10.0)
+
+
+def check_exhaustive_size(config: ModelConfig) -> None:
+    """Refuse a configuration beyond the scan's n <= MAX_EXHAUSTIVE_N."""
+    if config.n > MAX_EXHAUSTIVE_N:
+        raise ConfigError(
+            f"exhaustive enumeration is limited to n <= {MAX_EXHAUSTIVE_N}, "
+            f"got n = {config.n} (around 10^{_log10_partition_count(config):.1f} "
+            f"admissible partitions)"
+        )
+
+
+def check_restarts(restarts: int) -> None:
+    """Refuse a local search with fewer than one restart."""
+    if restarts < 1:
+        raise ConfigError(f"restarts must be >= 1, got {restarts}")
 
 
 @functools.cache
@@ -97,13 +102,8 @@ def _canonical_rows(config: ModelConfig):
     out in canonical order and no level holds much more than _BATCH_ROWS of
     them.
     """
+    check_exhaustive_size(config)
     n = config.n
-    if n > MAX_EXHAUSTIVE_N:
-        raise ConfigError(
-            f"exhaustive enumeration is limited to n <= {MAX_EXHAUSTIVE_N}, "
-            f"got n = {n} (around 10^{_log10_partition_count(config):.1f} "
-            f"admissible partitions)"
-        )
     sizes = config.sizes.tolist()
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
     choices = [_choices(n - sum(sizes[:k]), s) for k, s in enumerate(sizes)]
@@ -142,19 +142,6 @@ def _labels(rows: np.ndarray, n: int) -> np.ndarray:
     (column k) get label k + 1, the other nodes 0."""
     bits = (rows[:, :, None] >> np.arange(n)) & 1
     return (bits * np.arange(1, rows.shape[1] + 1)[:, None]).sum(axis=1)
-
-
-def enumerate_partitions(config: ModelConfig):
-    """Yield every admissible partition exactly once, canonically ordered.
-
-    Guarded to n <= MAX_EXHAUSTIVE_N.  Labels follow the configuration's
-    cluster order; among equal-size clusters the smallest members increase
-    with the label, which deduplicates exchangeable assignments.  This is
-    the enumeration of the scan, expanded one partition at a time.
-    """
-    for rows in _canonical_rows(config):
-        for labels in _labels(rows, config.n):
-            yield Partition(labels)
 
 
 def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
@@ -239,8 +226,6 @@ def solve_exhaustive(
 class LocalSearchResult:
     partition: Partition
     objective: int
-    restarts: int
-    best_restart: int
     swaps: int
 
 
@@ -297,8 +282,7 @@ def local_search(
     """Randomly seeded best-improvement swap search; keeps the best local
     optimum over the given number of restarts.  Deterministic under seed.
     The matrix must be symmetric with no negative entry."""
-    if restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {restarts}")
+    check_restarts(restarts)
     m = config_matrix(A, config).astype(float)
     if (m < 0).any() or not np.array_equal(m, m.T):
         raise ConfigError(
@@ -308,9 +292,8 @@ def local_search(
     template = config.planted_partition().labels
     best_labels = None
     best_val = -1
-    best_restart = 0
     total_swaps = 0
-    for restart in range(restarts):
+    for _ in range(restarts):
         labels = template[rng.permutation(n)].copy()
         labels, swaps = _hill_climb(m, labels, config.r)
         total_swaps += swaps
@@ -318,11 +301,8 @@ def local_search(
         if val > best_val:
             best_val = val
             best_labels = labels
-            best_restart = restart
     return LocalSearchResult(
         partition=Partition(best_labels),
         objective=int(best_val),
-        restarts=restarts,
-        best_restart=best_restart,
         swaps=total_swaps,
     )

@@ -111,12 +111,16 @@ def as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
     return A.matrix if isinstance(A, Adjacency) else np.asarray(A)
 
 
+def check_node_count(nodes: int, n: int) -> None:
+    """Refuse a graph of the given node count for a config of n nodes."""
+    if nodes != n:
+        raise ConfigError(f"adjacency has {nodes} nodes but config has n = {n}")
+
+
 def config_matrix(A: Adjacency | np.ndarray, config: ModelConfig) -> np.ndarray:
     """as_matrix(A), refusing a graph whose node count is not config.n."""
     m = as_matrix(A)
-    if m.shape[0] != config.n:
-        raise ConfigError(
-            f"adjacency has {m.shape[0]} nodes but config has n = {config.n}")
+    check_node_count(m.shape[0], config.n)
     return m
 
 

@@ -11,8 +11,9 @@ Observed (ternary) file::
     i j v        (one line per OBSERVED pair, v in {0, 1}; absent pairs are
                   unobserved)
 
-read_graph tells the formats apart by the arity of the first pair line and
-refuses a pair listed twice.  write_graph emits pairs in row-major
+read_graph tells the formats apart by the arity of the first pair line,
+refuses a header whose n is not the config's before it allocates the n x n
+matrix, and refuses a pair listed twice.  write_graph emits pairs in row-major
 upper-triangle order, so output bytes are a pure function of the matrix.
 """
 
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .generate import UNOBSERVED, Adjacency, ObservedMatrix
+from .generate import UNOBSERVED, Adjacency, ObservedMatrix, check_node_count
 
 
 class GraphFormatError(ValueError):
@@ -68,13 +69,15 @@ def _integer(token: str) -> int:
         raise GraphFormatError(str(exc)) from exc
 
 
-def read_graph(path) -> Adjacency | ObservedMatrix:
-    """Read either format, told apart by the arity of the first pair line.
-    Every pair line must have that arity and name a pair not listed before."""
+def read_graph(path, n: int) -> Adjacency | ObservedMatrix:
+    """Read either format, told apart by the arity of the first pair line,
+    for a config of n nodes; a header of another node count is a
+    ConfigError.  Every pair line must have that arity and name a pair not
+    listed before."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     observed = len(lines) > 1 and len(lines[1].split()) == 3
     kind, form = ("observed", "'i j v'") if observed else ("adjacency", "'i j'")
-    n = _parse_header(lines)
+    check_node_count(_parse_header(lines), n)
     unset = UNOBSERVED if observed else 0
     m = np.full((n, n), unset, dtype=np.int8)
     np.fill_diagonal(m, 0)

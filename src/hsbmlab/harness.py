@@ -24,9 +24,10 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .convex import MAX_ITER, recover_convex
+from .convex import MAX_ITER, check_max_iter, recover_convex
 from .counting import recover_counting
-from .exhaustive import MAX_EXHAUSTIVE_N, local_search, solve_exhaustive
+from .exhaustive import (check_exhaustive_size, check_restarts, local_search,
+                         solve_exhaustive)
 from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
 from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
 from .presets import (EXAMPLE_IDS, check_example_id, example6_reference_constants,
@@ -60,13 +61,12 @@ class ExperimentSpec:
             raise ConfigError(f"unknown algorithms {bad}; known: {list(ALGORITHMS)}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
-        if "local-search" in self.algorithms and self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if "exhaustive" in self.algorithms and self.config.n > MAX_EXHAUSTIVE_N:
-            raise ConfigError(
-                f"exhaustive search allowed only for n <= {MAX_EXHAUSTIVE_N}, "
-                f"got n = {self.config.n}"
-            )
+        if "convex" in self.algorithms:
+            check_max_iter(self.max_iter)
+        if "exhaustive" in self.algorithms:
+            check_exhaustive_size(self.config)
+        if "local-search" in self.algorithms:
+            check_restarts(self.restarts)
 
 
 def recover(algorithm: str, graph, config: ModelConfig,
@@ -167,9 +167,6 @@ def wilson_interval(successes: int, trials: int):
 class MonteCarloResult:
     rows: tuple[ResultRow, ...]
     summary: dict
-
-    def success_rate(self, algorithm: str) -> float:
-        return self.summary[algorithm]["success_rate"]
 
 
 _blas_lock = threading.Lock()
@@ -278,14 +275,13 @@ def run_table1(
     C: float = 1.0,
     eta: float = 2.0,
     example_ids=EXAMPLE_IDS,
-    constants: dict[int, dict] | None = None,
 ) -> list[dict]:
     """Classify each preset at each n and tabulate per-check margins.
 
     The trend column holds the ratio of a check's binding margin to its
     value at the previous feasible n of the same preset, making the
     asymptotic satisfied/violated pattern visible as margins drifting above
-    or below 1.  Family 6 uses its reference constants unless overridden.
+    or below 1.  Family 6 uses its reference constants.
     Infeasible (example, n) pairs yield a feasible=False row with a note;
     an unknown example id or a non-positive C or eta is a ConfigError,
     raised before any row.
@@ -294,7 +290,6 @@ def run_table1(
         check_example_id(ex)
     _require_positive("C", C)
     _require_positive("eta", eta)
-    constants = dict(constants or {})
     rows: list[dict] = []
     for ex in example_ids:
         prev_margins: dict[str, float] = {}
@@ -305,17 +300,15 @@ def run_table1(
                 row[f"{short}_satisfied"] = ""
                 row[f"{short}_margin"] = math.nan
                 row[f"{short}_trend"] = math.nan
-            over = constants.get(ex)
             try:
-                if over is None and ex == 6:
-                    over = example6_reference_constants(int(n))
-                config = example_config(ex, int(n), over)
+                constants = example6_reference_constants(int(n)) if ex == 6 else None
+                config = example_config(ex, int(n), constants)
             except ConfigError as exc:
                 row["feasible"] = False
                 row["note"] = str(exc)
                 rows.append(row)
                 continue
-            report = classify(config, C=C, eta=eta, config_id=f"example{ex}")
+            report = classify(config, C=C, eta=eta)
             row["regime"] = report.regime
             for name, short in TABLE_CHECKS:
                 check = report.checks[name]

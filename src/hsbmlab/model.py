@@ -345,8 +345,7 @@ class DerivedStats:
     sigma_k^2 = n_k p_k (1 - p_k) its degree variance scale;
     sigma0^2 = n q (1 - q) the ambient variance scale.
     ``run_rho`` and ``run_sigma_sq`` hold one value per run of
-    ``config.runs`` (``counts`` clusters each); ``rho`` and ``sigma_sq``
-    expand them to one value per cluster.
+    ``config.runs`` (``counts`` clusters each).
     """
 
     run_rho: np.ndarray
@@ -358,15 +357,6 @@ class DerivedStats:
     p_min: float
     p_max: float
     n_min: int
-    n_max: int
-
-    @property
-    def rho(self) -> np.ndarray:
-        return _expand(self.run_rho, self.counts)
-
-    @property
-    def sigma_sq(self) -> np.ndarray:
-        return _expand(self.run_sigma_sq, self.counts)
 
 
 def derived_stats(config: ModelConfig) -> DerivedStats:
@@ -384,7 +374,6 @@ def derived_stats(config: ModelConfig) -> DerivedStats:
         p_min=float(probs.min()),
         p_max=float(probs.max()),
         n_min=int(sizes.min()),
-        n_max=int(sizes.max()),
     )
 
 

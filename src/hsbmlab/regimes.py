@@ -383,13 +383,16 @@ def classify(
 ) -> RegimeReport:
     """Run all five checkers and resolve the regime label.
 
+    A config with gamma < 1 is checked in its gamma-collapsed form, the
+    model that recovery solves; the report keeps the config as given.
     The checks dict's order is the order of the CSV columns."""
+    model = config.collapsed() if config.gamma < 1.0 else config
     checks = {
-        "easy_clusterwise": check_easy_clusterwise(config, C),
-        "easy_global": check_easy_global(config, C),
-        "hard": check_hard(config, eta),
-        "impossible": check_impossible(config),
-        "simple": check_simple(config),
+        "easy_clusterwise": check_easy_clusterwise(model, C),
+        "easy_global": check_easy_global(model, C),
+        "hard": check_hard(model, eta),
+        "impossible": check_impossible(model),
+        "simple": check_simple(model),
     }
     # The regimes whose check is satisfied; either easy_* check grants "easy".
     granted = {name.partition("_")[0] for name, chk in checks.items() if chk.satisfied}

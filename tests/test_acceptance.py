@@ -32,6 +32,7 @@ from hsbmlab import (
     classify,
     concentration_experiment,
     derived_stats,
+    example_config,
     isolated_threshold,
     objective,
     pair_threshold,
@@ -39,11 +40,11 @@ from hsbmlab import (
     project_nuclear_ball,
     recover_convex,
     run_monte_carlo,
-    run_table1,
     sample_adjacency,
     solve_exhaustive,
 )
 from hsbmlab.cli import main as cli_main
+from hsbmlab.harness import TABLE_CHECKS
 
 REF = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05)
 SIMPLE400 = ModelConfig(400, [(200, 0.95), (200, 0.95)], 0.005)
@@ -82,9 +83,10 @@ def test_criterion_01_formula_fidelity():
     expect("kl(p,p)", kl_div(0.3, 0.3), 0.0)
 
     st = derived_stats(REF)
-    expect("rho[0]", st.rho[0], 45.0)
-    expect("rho[1]", st.rho[1], 45.0)
-    expect("sigma_sq", st.sigma_sq[0], 25.0)
+    rho = np.repeat(st.run_rho, st.counts)
+    expect("rho[0]", rho[0], 45.0)
+    expect("rho[1]", rho[1], 45.0)
+    expect("sigma_sq", np.repeat(st.run_sigma_sq, st.counts)[0], 25.0)
     expect("sigma0_sq", st.sigma0_sq, 9.5)
 
     easy_c = check_easy_clusterwise(REF, C=1.0)
@@ -258,7 +260,7 @@ def test_criterion_06_simple_regime_counting_recovery():
     premise = check_simple(SIMPLE400).satisfied
     spec = ExperimentSpec(SIMPLE400, ("counting",), trials=200,
                           config_id="simple")
-    rate = run_monte_carlo(spec, workers=4).success_rate("counting")
+    rate = run_monte_carlo(spec, workers=4).summary["counting"]["success_rate"]
     elapsed = time.perf_counter() - start
     ok = premise and rate >= 0.99 and elapsed < 120.0
     report(6, ok,
@@ -277,7 +279,7 @@ def test_criterion_07_impossibility_sanity():
     ratio12 = lhs12 / (math.log(6.0) / 12.0)
     spec = ExperimentSpec(HARD12, ("exhaustive",), trials=200,
                           config_id="scaled-impossible")
-    rate = run_monte_carlo(spec, workers=4).success_rate("exhaustive")
+    rate = run_monte_carlo(spec, workers=4).summary["exhaustive"]["success_rate"]
     ok = eval_ok and ratio12 < 1.0 and rate <= 0.7
     report(7, ok,
            f"direct evaluation {pair_info.lhs:.4f} <= {pair_info.rhs:.4f}; "
@@ -288,20 +290,24 @@ def test_criterion_07_impossibility_sanity():
 def test_criterion_08_margin_trend_table():
     start = time.perf_counter()
     grid = (10**4, 10**5, 10**6, 10**7)
-    rows = run_table1(grid, C=1.0, eta=2.0, example_ids=(1, 2, 3, 5),
-                      constants={2: {"c": 3.0}, 5: {"c2": 1.2}})
+    constants = {2: {"c": 3.0}, 5: {"c2": 1.2}}
     expected = {
         1: {"clusterwise": False, "global": False, "search": True},
         2: {"clusterwise": True, "global": True, "search": True},
         3: {"clusterwise": True, "global": False, "search": False},
         5: {"clusterwise": False, "global": True, "search": True},
     }
+    # The trend table's margins, with the criterion's constants for
+    # examples 2 and 5.
     margins: dict[tuple[int, str], list[float]] = {}
-    for row in rows:
-        for short in ("clusterwise", "global", "search"):
-            margins.setdefault((row["example"], short), []).append(
-                row[f"{short}_margin"]
-            )
+    for ex in expected:
+        for n in grid:
+            checks = classify(example_config(ex, n, constants.get(ex)),
+                              C=1.0, eta=2.0).checks
+            for name, short in TABLE_CHECKS:
+                margins.setdefault((ex, short), []).append(
+                    checks[name].binding_margin
+                )
     bad: list[str] = []
     for (ex, short), ms in margins.items():
         rising = all(b >= a * (1.0 - 1e-12) for a, b in zip(ms, ms[1:]))

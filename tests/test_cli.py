@@ -70,7 +70,7 @@ class TestGenerate:
         assert main(["generate", "--config", small_config,
                      "--out", str(out)]) == 0
         assert "wrote" in capsys.readouterr().out
-        graph = read_graph(out)
+        graph = read_graph(out, 10)
         assert isinstance(graph, Adjacency)
         assert graph.matrix.shape == (10, 10)
 
@@ -86,13 +86,13 @@ class TestGenerate:
         out = tmp_path / "partial.txt"
         assert main(["generate", "--config", small_config, "--gamma", "0.6",
                      "--out", str(out)]) == 0
-        assert isinstance(read_graph(out), ObservedMatrix)
+        assert isinstance(read_graph(out, 10), ObservedMatrix)
 
     def test_preset_source(self, tmp_path):
         out = tmp_path / "preset.txt"
         assert main(["generate", "--example", "1", "--n", "100",
                      "--out", str(out)]) == 0
-        assert read_graph(out).matrix.shape == (100, 100)
+        assert read_graph(out, 100).matrix.shape == (100, 100)
 
     def test_out_is_required(self, small_config, capsys):
         assert main(["generate", "--config", small_config]) == 2
@@ -116,6 +116,19 @@ class TestClassify:
         assert "regime=easy" in capsys.readouterr().out
         report = json.loads(out.read_text())
         assert report["regime"] == "easy"
+
+    def test_gamma_classifies_the_collapsed_model(self, tmp_path, capsys):
+        # At gamma = 1 this config is easy; observed at rate 0.05 it is the
+        # collapsed model p = 0.025, q = 0.0025 that recovery solves.
+        config = tmp_path / "easy.json"
+        config.write_text(json.dumps(EASY))
+        out = tmp_path / "report.json"
+        assert main(["classify", "--config", str(config), "--gamma", "0.05",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "regime=unknown\n"
+        report = json.loads(out.read_text())
+        assert report["config"]["gamma"] == 0.05
+        assert report["checks"]["easy_global"]["binding_margin"] < 1.0
 
     def test_preset_with_constant_override(self, capsys):
         assert main(["classify", "--example", "2", "--n", "1000",
@@ -306,7 +319,7 @@ class TestRecover:
         main(["generate", "--config", small_config, "--gamma", "0.6",
               "--out", str(graph)])
         capsys.readouterr()
-        unobserved = int((read_graph(graph).values == -1).sum()) // 2
+        unobserved = int((read_graph(graph, 10).values == -1).sum()) // 2
         assert unobserved > 0
         assert main(["recover", "--config", small_config,
                      "--adjacency", str(graph), "--algorithm", "exhaustive"]) == 2
@@ -331,6 +344,17 @@ class TestRecover:
                      small_graph, "--algorithm", algorithm]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: adjacency has 10 nodes but config has n = 12\n"
+        assert captured.out == ""
+
+    def test_header_refused_before_allocating(self, tmp_path, small_config, capsys):
+        # The n x n matrix of this header would take 10**16 bytes.
+        graph = tmp_path / "huge.graph"
+        graph.write_text("100000000 0\n")
+        assert main(["recover", "--config", small_config,
+                     "--adjacency", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: adjacency has 100000000 nodes but config "
+                                "has n = 10\n")
         assert captured.out == ""
 
     def test_zero_restarts_exits_2(self, small_config, small_graph, capsys):
@@ -499,6 +523,27 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--spec", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: restarts must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entries, reason", [
+        ({"example": {"n": 100}}, "spec field 'id' must be an integer, got None"),
+        ({"example": 3}, "spec field 'example' must be an object, got 3"),
+        ({"example": {"id": 1, "n": "100"}},
+         "spec field 'n' must be an integer, got '100'"),
+        ({"example": {"id": 1, "n": 100, "constants": [1]}},
+         "spec field 'constants' must be an object, got [1]"),
+        ({"config": SMALL, "algorithms": "convex"},
+         "spec field 'algorithms' must be a list, got 'convex'"),
+        ({"config": SMALL, "config_id": ["a"]},
+         "spec field 'config_id' must be a string, got ['a']"),
+    ], ids=["no-id", "example-3", "string-n", "constants-list", "algorithms-string",
+            "config-id-list"])
+    def test_malformed_spec_entry_exits_2(self, tmp_path, capsys, entries, reason):
+        path = tmp_path / "entry_spec.json"
+        path.write_text(json.dumps({"trials": 1, **entries}))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n"
         assert captured.out == ""
 
     def test_zero_workers_exits_2(self, spec_file, capsys):
@@ -752,3 +797,31 @@ class TestParser:
                               env={**os.environ, "PYTHONPATH": package_root})
         assert proc.returncode == 0
         assert b"montecarlo" in proc.stdout
+
+
+# The package's public names, with the ten submodules that the computed
+# __all__ also lists.  Adding or removing a public name edits this list.
+PUBLIC_NAMES = [
+    "ALGORITHMS", "Adjacency", "ConcentrationStats", "ConditionReport",
+    "ConfigError", "DerivedStats", "EXAMPLE_IDS", "ExhaustiveResult",
+    "ExperimentSpec", "GraphFormatError", "LocalSearchResult",
+    "MAX_EXHAUSTIVE_N", "ModelConfig", "MonteCarloResult", "ObservedMatrix",
+    "Partition", "Recovery", "RegimeCheck", "RegimeReport", "ResultRow",
+    "SolverResult", "UNOBSERVED", "block_split_bound", "check_easy_clusterwise",
+    "check_easy_global", "check_hard", "check_impossible", "check_simple",
+    "chi_square_div", "classify", "clustering_matrix",
+    "concentration_experiment", "convex", "counting", "derived_stats",
+    "example6_reference_constants", "example_config", "exhaustive",
+    "expected_adjacency", "generate", "graphio", "harness",
+    "isolated_threshold", "local_search", "model", "objective",
+    "pair_threshold", "partitions_equal", "presets", "project_box_sum",
+    "project_nuclear_ball", "read_graph", "recover_convex", "recover_counting",
+    "regimes", "round_solution", "run_monte_carlo", "run_table1", "run_trial",
+    "sample_adjacency", "sample_observed", "solve_convex", "solve_exhaustive",
+    "spectral", "stream_rng", "wilson_interval", "write_graph",
+    "write_results", "write_table1",
+]
+
+
+def test_public_surface():
+    assert sorted(hsbmlab.__all__) == PUBLIC_NAMES

@@ -13,15 +13,13 @@ from hsbmlab import (
     ModelConfig,
     Partition,
     clustering_matrix,
-    enumerate_partitions,
     local_search,
     objective,
-    partition_count,
     partitions_equal,
     sample_adjacency,
     solve_exhaustive,
 )
-from hsbmlab.exhaustive import _hill_climb, _mass_table
+from hsbmlab.exhaustive import _canonical_rows, _hill_climb, _labels, _mass_table
 from hsbmlab.generate import Adjacency, as_matrix
 
 REL = 1e-12
@@ -99,6 +97,22 @@ def oracle_placement_count(n, sizes):
     for count in mult.values():
         total //= math.factorial(count)
     return total
+
+
+def partition_count(config):
+    """Number of admissible partitions of the config, in closed form:
+    n! / ((n - n_bar)! * prod_k n_k!) divided by prod over repeated sizes
+    (equal-size clusters are unordered)."""
+    return oracle_placement_count(config.n, config.sizes.tolist())
+
+
+def enumerate_partitions(config):
+    """Every admissible partition once, in canonical order: the scan's
+    enumeration, guarded to n <= MAX_EXHAUSTIVE_N, expanded one partition
+    at a time."""
+    for rows in _canonical_rows(config):
+        for labels in _labels(rows, config.n):
+            yield Partition(labels)
 
 
 def oracle_twin_min(placed, size):
@@ -526,8 +540,6 @@ class TestLocalSearch:
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=0)
         res = local_search(A, cfg, seed=0, restarts=4)
-        assert res.restarts == 4
-        assert 0 <= res.best_restart < 4
         assert res.swaps >= 0
 
     def test_validation(self):
@@ -622,22 +634,21 @@ class TestFrozenOutputs:
     one-partition-at-a-time scan.  Any change in swap order, scan order or
     tie bookkeeping changes one of these values."""
 
-    # (config, seed) -> (labels digest, objective, best_restart, swaps),
+    # (config, seed) -> (labels digest, objective, swaps),
     # with the graph drawn from seed and local_search(seed=seed, restarts=10).
     SEARCH = [
-        (BENCH200, 0, ("dee32dde3334b62a", 10016, 0, 479)),
-        (BENCH200, 1, ("dee32dde3334b62a", 9866, 0, 461)),
-        (BENCH200, 2, ("de627fa4116d5e80", 9984, 0, 478)),
-        (ISO60, 0, ("0b87e388bc3f476a", 368, 0, 261)),
-        (ISO60, 1, ("9aca1c2d204dbbac", 364, 1, 232)),
+        (BENCH200, 0, ("dee32dde3334b62a", 10016, 479)),
+        (BENCH200, 1, ("dee32dde3334b62a", 9866, 461)),
+        (BENCH200, 2, ("de627fa4116d5e80", 9984, 478)),
+        (ISO60, 0, ("0b87e388bc3f476a", 368, 261)),
+        (ISO60, 1, ("9aca1c2d204dbbac", 364, 232)),
     ]
 
     @pytest.mark.parametrize("config,seed,expect", SEARCH)
     def test_local_search(self, config, seed, expect):
         A = sample_adjacency(config, config.planted_partition(), seed=seed)
         res = local_search(A, config, seed=seed, restarts=10)
-        got = (digest(res.partition.labels), res.objective, res.best_restart,
-               res.swaps)
+        got = (digest(res.partition.labels), res.objective, res.swaps)
         assert got == expect
 
     # (config, seed) -> (objective, tie_count, partitions_examined, the

@@ -19,13 +19,13 @@ from hsbmlab import (
 def roundtrip(graph, tmp_path):
     path = tmp_path / "g.txt"
     write_graph(path, graph)
-    return read_graph(path)
+    return read_graph(path, graph.n)
 
 
-def read_text(tmp_path, text):
+def read_text(tmp_path, text, n=3):
     path = tmp_path / "g.txt"
     path.write_text(text)
-    return read_graph(path)
+    return read_graph(path, n)
 
 
 class TestAdjacencyRoundTrip:
@@ -96,7 +96,7 @@ class TestAutoDetect:
         assert obs.values[1, 2] == UNOBSERVED
 
     def test_pairless_file_is_adjacency(self, tmp_path):
-        assert isinstance(read_text(tmp_path, "2 0\n"), Adjacency)
+        assert isinstance(read_text(tmp_path, "2 0\n", n=2), Adjacency)
 
 
 class TestFormatErrors:

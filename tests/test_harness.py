@@ -72,10 +72,15 @@ class TestExperimentSpec:
 
     def test_exhaustive_blocked_above_size_limit(self):
         big = ModelConfig(16, [(8, 0.9), (8, 0.9)], 0.05)
-        with pytest.raises(ConfigError, match="n <= 14"):
+        # The scan's own message, with its partition-count estimate.
+        with pytest.raises(ConfigError, match=r"n <= 14, got n = 16 \(around 10\^"):
             ExperimentSpec(big, ("exhaustive",), trials=1)
         # Other algorithms are not size-limited.
         ExperimentSpec(big, ("convex", "counting", "local-search"), trials=1)
+
+    def test_zero_max_iter_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+            ExperimentSpec(SMALL, ("convex",), trials=1, max_iter=0)
 
     def test_spec_is_immutable(self):
         spec = ExperimentSpec(SMALL, ("convex",), trials=1)
@@ -359,7 +364,6 @@ class TestRunMonteCarlo:
         assert stats["failure_counts"]["none"] == 2
         assert stats["failure_counts"]["counting"] == 1
         assert sum(stats["failure_counts"].values()) == 3
-        assert result.success_rate("counting") == stats["success_rate"]
 
     def test_rejects_zero_workers(self):
         spec = ExperimentSpec(SMALL, ("convex",), trials=1)
@@ -512,12 +516,6 @@ class TestRunTable1:
             assert "cluster sizes must lie in the int64 range" in row["note"]
         with pytest.raises(ConfigError, match="int64 range"):
             example_config(1, 10**20)
-
-    def test_constant_overrides_change_margins(self):
-        base = run_table1((10**5,), example_ids=(2,))[0]
-        boosted = run_table1((10**5,), example_ids=(2,),
-                             constants={2: {"c": 3.0}})[0]
-        assert boosted["clusterwise_margin"] != base["clusterwise_margin"]
 
 
 class TestPersistence:

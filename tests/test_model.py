@@ -26,6 +26,11 @@ from hsbmlab.model import clique_components, cross_pair_peak
 REL = 1e-12
 
 
+def per_cluster(st, run_values):
+    """A per-run statistic of derived_stats expanded to one value per cluster."""
+    return np.repeat(run_values, st.counts)
+
+
 def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
 
@@ -196,9 +201,11 @@ class TestRuns:
         cfg = example_config(5, 10**4)
         st = derived_stats(cfg)
         sizes = cfg.sizes.astype(float)
-        assert np.array_equal(st.rho, sizes * (cfg.probs - cfg.q))
-        assert np.array_equal(st.sigma_sq, sizes * cfg.probs * (1.0 - cfg.probs))
-        assert st.rho_min == float(st.rho.min()) and st.n_min == int(cfg.sizes.min())
+        rho = per_cluster(st, st.run_rho)
+        assert np.array_equal(rho, sizes * (cfg.probs - cfg.q))
+        assert np.array_equal(per_cluster(st, st.run_sigma_sq),
+                              sizes * cfg.probs * (1.0 - cfg.probs))
+        assert st.rho_min == float(rho.min()) and st.n_min == int(cfg.sizes.min())
 
     @pytest.mark.parametrize("clusters", [
         [(5, 0.9), (5, 0.9)],
@@ -221,7 +228,7 @@ class TestRuns:
         assert cfg.n_covered == 2 * 10**12 + 1000
         assert "<1000000000001 clusters, sizes 2..1000>" in repr(cfg)
         st = derived_stats(cfg)
-        assert st.n_min == 2 and st.n_max == 1000
+        assert st.n_min == 2
 
 
 class TestPartition:
@@ -245,25 +252,27 @@ class TestDerivedStats:
     def test_two_equal_clusters(self):
         cfg = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05)
         st = derived_stats(cfg)
-        assert np.allclose(st.rho, [45.0, 45.0], rtol=REL, atol=0)
-        assert np.allclose(st.sigma_sq, [25.0, 25.0], rtol=REL, atol=0)
+        assert np.allclose(per_cluster(st, st.run_rho), [45.0, 45.0], rtol=REL, atol=0)
+        assert np.allclose(per_cluster(st, st.run_sigma_sq), [25.0, 25.0],
+                           rtol=REL, atol=0)
         assert close(st.sigma0_sq, 9.5)
         assert close(st.sigma_max_sq, 25.0)
         assert close(st.rho_min, 45.0)
-        assert st.n_min == 100 and st.n_max == 100
+        assert st.n_min == 100
         assert st.p_min == 0.5 and st.p_max == 0.5
 
     def test_heterogeneous(self):
         cfg = ModelConfig(20, [(8, 0.9), (5, 0.3)], 0.1)
         st = derived_stats(cfg)
-        assert close(float(st.rho[0]), 8 * 0.8)
-        assert close(float(st.rho[1]), 5 * 0.2)
-        assert close(float(st.sigma_sq[0]), 8 * 0.9 * 0.1)
-        assert close(float(st.sigma_sq[1]), 5 * 0.3 * 0.7)
+        rho, sigma_sq = per_cluster(st, st.run_rho), per_cluster(st, st.run_sigma_sq)
+        assert close(float(rho[0]), 8 * 0.8)
+        assert close(float(rho[1]), 5 * 0.2)
+        assert close(float(sigma_sq[0]), 8 * 0.9 * 0.1)
+        assert close(float(sigma_sq[1]), 5 * 0.3 * 0.7)
         assert close(st.sigma0_sq, 20 * 0.1 * 0.9)
         assert close(st.rho_min, 1.0)
         assert st.p_min == 0.3 and st.p_max == 0.9
-        assert st.n_min == 5 and st.n_max == 8
+        assert st.n_min == 5
 
     def test_rho_positive_always(self):
         rng = np.random.default_rng(7)
@@ -276,7 +285,7 @@ class TestDerivedStats:
             st = derived_stats(
                 ModelConfig(n, list(zip(sizes.tolist(), probs.tolist())), q)
             )
-            assert (st.rho > 0).all()
+            assert (st.run_rho > 0).all()
 
     def test_sum_rho_identity(self):
         # sum_k rho_k = sum_k p_k n_k - q * (covered node count)
@@ -290,7 +299,7 @@ class TestDerivedStats:
             cfg = ModelConfig(n, list(zip(sizes.tolist(), probs.tolist())), q)
             st = derived_stats(cfg)
             expect = float((cfg.probs * sizes).sum()) - q * cfg.n_covered
-            assert close(float(st.rho.sum()), expect, rel=1e-10)
+            assert close(float(per_cluster(st, st.run_rho).sum()), expect, rel=1e-10)
 
 
 # -- divergences ------------------------------------------------------------

@@ -363,6 +363,18 @@ class TestClassify:
                             chk.name, cond.condition_id, cond.score, cond.satisfied,
                         )
 
+    def test_partial_observation_classifies_collapsed_model(self):
+        # At gamma = 1 this config is easy with margins above 15; the model
+        # recovery solves at gamma = 0.05 is not.
+        cfg = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05, gamma=0.05)
+        rep, collapsed = classify(cfg), classify(cfg.collapsed())
+        assert rep.regime == collapsed.regime == "unknown"
+        assert rep.config == cfg
+        for name, chk in rep.checks.items():
+            assert chk.binding_margin == collapsed.checks[name].binding_margin
+            assert [c.margin for c in chk.reports] == \
+                [c.margin for c in collapsed.checks[name].reports]
+
     def test_report_lookup_keyerror(self):
         chk = check_easy_global(CFG_EASY)
         with pytest.raises(KeyError):
