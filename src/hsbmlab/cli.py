@@ -29,7 +29,7 @@ from .harness import (
     write_results,
     write_table1,
 )
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig, json_value
 from .presets import EXAMPLE_IDS, example_config
 from .regimes import classify, csv_cells
 
@@ -207,18 +207,10 @@ def cmd_bench_spectral(args) -> int:
     return EXIT_OK
 
 
-# What each Python type of a spec field is called in a message.
-SPEC_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
-
-
 def _spec_field(raw: dict, field: str, default, kind: type):
     """A field of a spec file, of the given kind: a JSON integer (not a
     bool), string, object or list."""
-    value = raw.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(
-            f"spec field {field!r} must be {SPEC_KINDS[kind]}, got {value!r}")
-    return value
+    return json_value(raw.get(field, default), kind, f"spec field {field!r}")
 
 
 def _spec_from_file(path: str, args) -> ExperimentSpec:

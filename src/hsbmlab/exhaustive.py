@@ -19,11 +19,13 @@ level, each partition a row of per-cluster bitmasks, expanding a bounded
 chunk of rows at a time in canonical order, and scores a row as the sum of
 its clusters' table entries.  The local search keeps each node's mass into
 each label group, from which the gain of every candidate swap of a step is
-one symmetric matrix.  On a 0/1 (or any integer-valued) adjacency that
-arithmetic is exact, so the winners are those of a one-partition-at-a-time,
-one-pair-at-a-time scan: the first maximum in canonical order, and the
-first maximal swap in row-major order, taken only when it improves the
-mass by more than 1e-12.
+one symmetric matrix.  The search takes integer matrices only and
+climbs in the narrowest of int16, int32 and int64 that holds every such
+gain: 2 (max row sum + max entry) bounds them, so a 0/1 graph below 16,383
+nodes climbs in int16.  Both scores are exact, so the winners are those of
+a one-partition-at-a-time, one-pair-at-a-time scan: the first maximum in
+canonical order, and the first maximal swap in row-major order, taken only
+when it improves the mass.
 """
 
 from __future__ import annotations
@@ -229,26 +231,55 @@ class LocalSearchResult:
     swaps: int
 
 
+def _climb_matrix(m: np.ndarray) -> np.ndarray:
+    """m cast to the narrowest of int16, int32 and int64 that holds its
+    gain bound 2 (max row sum + max entry), which bounds the absolute value
+    of every mass and gain of ``_hill_climb``.  Refuses a matrix that is
+    not symmetric, has a negative or non-integer entry, or whose bound no
+    dtype holds."""
+    if m.dtype.kind not in "biu" and not np.all(np.isfinite(m) & (m == np.trunc(m))):
+        raise ConfigError("local search needs a matrix of integers")
+    if (m < 0).any() or not np.array_equal(m, m.T):
+        raise ConfigError(
+            "local search needs a symmetric matrix without negative entries")
+    # float64 sums of integers are exact below 2**53; larger bounds are
+    # summed again in Python integers.
+    bound = 2 * (m.sum(axis=1, dtype=np.float64).max() + float(m.max()))
+    if bound >= 2.0**53:
+        bound = 2 * (max(sum(map(int, row)) for row in m.tolist()) + int(m.max()))
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return m.astype(dtype)
+    raise ConfigError(
+        f"local search gain bound {int(bound)} exceeds the int64 range")
+
+
 def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, int]:
-    """Best-improvement label-swap ascent on the within-cluster edge mass.
+    """Best-improvement label-swap ascent on the within-cluster edge mass,
+    in the integer dtype of m, which ``_climb_matrix`` chose.
 
     D[x, g] caches node x's adjacency mass into label group g.  With
     R[x, g] = [g > 0] D[x, g] - [x clustered] D[x, label x] and
     H[u, v] = R[u, label v] - [v clustered] m[u, v], swapping the labels
     of u and v changes the (unordered) mass by G[u, v] = H[u, v] + H[v, u].
-    G is symmetric, and on a symmetric m >= 0 its diagonal and same-label
-    entries are <= 0, so a first maximum of all of G in row-major order
-    that exceeds 1e-12 is the first maximal swap u < v of different labels.
-    The swap is made only then; swaps stop when the maximum is no larger.
+    D lies in [0, max row sum], R and H in [-(max row sum + max entry),
+    max row sum], and so G within the gain bound 2 (max row sum + max
+    entry): no step overflows.  G is symmetric, and on a symmetric m >= 0
+    its diagonal and same-label entries are <= 0, so a positive first
+    maximum of all of G in row-major order is the first maximal swap u < v
+    of different labels.  The swap is made only then; swaps stop when the
+    maximum is not positive.
 
     D and R are held transposed, one row per label group, so that H^T is
     a gather of whole rows.
     """
     n = m.shape[0]
     nodes = np.arange(n)
-    onehot = np.zeros((n, r + 1))
-    onehot[nodes, labels] = 1.0
-    DT = np.ascontiguousarray((m @ onehot).T)
+    # float64 products (BLAS) are exact below 2**53, which holds every
+    # int16 and int32 bound; int64 masses take numpy's integer product.
+    onehot = np.zeros((r + 1, n), np.float64 if m.dtype != np.int64 else np.int64)
+    onehot[labels, nodes] = 1
+    DT = (onehot @ m).astype(m.dtype)  # = (m @ onehot^T)^T, m being symmetric
     # m with the rows of isolated nodes zeroed, so that
     # H^T = R^T[labels] - m_clustered.
     m_clustered = m * (labels != 0)[:, None]
@@ -261,15 +292,15 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
         HT -= m_clustered
         gain = HT + HT.T
         u, v = divmod(int(np.argmax(gain)), n)
-        if not gain[u, v] > 1e-12:
+        if not gain[u, v] > 0:
             return labels, swaps
         a, b = labels[u], labels[v]
         labels[u], labels[v] = b, a
         DT[a] += m[v] - m[u]
         DT[b] += m[u] - m[v]
         if not (a and b):
-            m_clustered[u] = m[u] if b else 0.0
-            m_clustered[v] = m[v] if a else 0.0
+            m_clustered[u] = m[u] if b else 0
+            m_clustered[v] = m[v] if a else 0
         swaps += 1
 
 
@@ -281,12 +312,9 @@ def local_search(
 ) -> LocalSearchResult:
     """Randomly seeded best-improvement swap search; keeps the best local
     optimum over the given number of restarts.  Deterministic under seed.
-    The matrix must be symmetric with no negative entry."""
+    The matrix must be symmetric, of integers, with no negative entry."""
     check_restarts(restarts)
-    m = config_matrix(A, config).astype(float)
-    if (m < 0).any() or not np.array_equal(m, m.T):
-        raise ConfigError(
-            "local search needs a symmetric matrix without negative entries")
+    m = _climb_matrix(config_matrix(A, config))
     n = m.shape[0]
     rng = stream_rng(seed, STREAM_ALGORITHM)
     template = config.planted_partition().labels

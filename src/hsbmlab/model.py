@@ -24,6 +24,19 @@ class ConfigError(ValueError):
     """Raised for structurally invalid model configurations."""
 
 
+# What each Python type of a JSON field is called in a message.
+JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string",
+              dict: "an object", list: "a list"}
+
+
+def json_value(value, kind, what: str):
+    """value, if it is of the given JSON_KINDS kind and not a bool; else a
+    ConfigError naming it as `what`."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in "bi":
@@ -235,13 +248,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Config from its JSON form, which takes JSON numbers (not bools
+        or strings): an integer n and cluster sizes, and numbers q, gamma
+        and cluster probabilities."""
+        number = (int, float)
         try:
-            return cls(
-                n=d["n"],
-                clusters=d["clusters"],
-                q=d["q"],
-                gamma=d.get("gamma", 1.0),
-            )
+            for c in d["clusters"]:
+                json_value(c[1], number, "cluster probability")
+            return cls(n=json_value(d["n"], int, "n"),
+                       clusters=d["clusters"],
+                       q=json_value(d["q"], number, "q"),
+                       gamma=json_value(d.get("gamma", 1.0), number, "gamma"))
         except (KeyError, TypeError, IndexError) as exc:
             raise ConfigError(f"malformed config dict: {exc}") from exc
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig, json_value
 
 EXAMPLE_IDS = (1, 2, 3, 4, 5, 6)
 
@@ -62,6 +62,8 @@ def _take(constants: dict, defaults: dict, example_id: int) -> dict:
             f"unknown constants {sorted(unknown)} for example {example_id}; "
             f"known: {sorted(defaults)}"
         )
+    for name, value in constants.items():
+        json_value(value, (int, float), f"example {example_id} constant {name!r}")
     merged = dict(defaults)
     merged.update(constants)
     missing = [k for k, v in merged.items() if v is None]

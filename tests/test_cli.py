@@ -165,6 +165,25 @@ class TestClassify:
         assert captured.err == "error: q must lie strictly inside (0, 1), got 0.0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fields, reason", [
+        ({"n": "10"}, "n must be an integer, got '10'"),
+        ({"n": 10.0}, "n must be an integer, got 10.0"),
+        ({"q": "0.05"}, "q must be a number, got '0.05'"),
+        ({"gamma": True}, "gamma must be a number, got True"),
+        ({"clusters": [[5, "0.9"], [5, 0.9]]},
+         "cluster probability must be a number, got '0.9'"),
+        ({"clusters": [[5, 0.9], [5, None]]},
+         "cluster probability must be a number, got None"),
+    ], ids=["string-n", "float-n", "string-q", "bool-gamma", "string-p", "null-p"])
+    def test_non_number_config_field_exits_2(self, tmp_path, capsys, fields, reason):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({"n": 10, "q": 0.05,
+                                      "clusters": [[5, 0.9], [5, 0.9]], **fields}))
+        assert main(["classify", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n"
+        assert captured.out == ""
+
 
 class TestRecover:
     def test_convex_success_prints_labels(self, small_config, small_graph, capsys):
@@ -532,12 +551,16 @@ class TestMonteCarlo:
          "spec field 'n' must be an integer, got '100'"),
         ({"example": {"id": 1, "n": 100, "constants": [1]}},
          "spec field 'constants' must be an object, got [1]"),
+        ({"example": {"id": 2, "n": 1000, "constants": {"c": "x"}}},
+         "example 2 constant 'c' must be a number, got 'x'"),
+        ({"example": {"id": 2, "n": 1000, "constants": {"c": True}}},
+         "example 2 constant 'c' must be a number, got True"),
         ({"config": SMALL, "algorithms": "convex"},
          "spec field 'algorithms' must be a list, got 'convex'"),
         ({"config": SMALL, "config_id": ["a"]},
          "spec field 'config_id' must be a string, got ['a']"),
-    ], ids=["no-id", "example-3", "string-n", "constants-list", "algorithms-string",
-            "config-id-list"])
+    ], ids=["no-id", "example-3", "string-n", "constants-list", "constant-string",
+            "constant-bool", "algorithms-string", "config-id-list"])
     def test_malformed_spec_entry_exits_2(self, tmp_path, capsys, entries, reason):
         path = tmp_path / "entry_spec.json"
         path.write_text(json.dumps({"trials": 1, **entries}))

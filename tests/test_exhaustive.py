@@ -19,7 +19,8 @@ from hsbmlab import (
     sample_adjacency,
     solve_exhaustive,
 )
-from hsbmlab.exhaustive import _canonical_rows, _hill_climb, _labels, _mass_table
+from hsbmlab.exhaustive import (_canonical_rows, _climb_matrix, _hill_climb, _labels,
+                                _mass_table)
 from hsbmlab.generate import Adjacency, as_matrix
 
 REL = 1e-12
@@ -561,6 +562,37 @@ class TestLocalSearch:
         with pytest.raises(ConfigError, match="symmetric matrix without negative"):
             local_search(m, cfg, seed=0)
 
+    @pytest.mark.parametrize("value", [0.5, np.nan, np.inf])
+    def test_refuses_non_integer_matrix(self, value):
+        # The climb runs in integers, so a fractional entry has no exact
+        # cast; objective would truncate it.
+        cfg = ModelConfig(4, [(2, 0.9), (2, 0.9)], 0.1)
+        m = np.ones((4, 4)) - np.eye(4)
+        m[0, 1] = m[1, 0] = value
+        with pytest.raises(ConfigError, match="matrix of integers"):
+            local_search(m, cfg, seed=0)
+
+    # (off-diagonal weight w of a 2-node matrix, so a gain bound of 4w) ->
+    # the climb's dtype, or None where the bound exceeds int64.
+    @pytest.mark.parametrize("weight,dtype", [
+        (1, np.int16), (8191, np.int16), (8192, np.int32),
+        ((2**31 - 4) // 4, np.int32), (2**29, np.int64),
+        (2**61 - 1, np.int64), (2**61, None),
+    ])
+    def test_climb_dtype_follows_gain_bound(self, weight, dtype):
+        m = np.array([[0, weight], [weight, 0]], dtype=np.uint64)
+        if dtype is None:
+            with pytest.raises(ConfigError, match="exceeds the int64 range"):
+                _climb_matrix(m)
+        else:
+            got = _climb_matrix(m)
+            assert got.dtype == dtype and got[0, 1] == weight
+
+    def test_zero_one_graph_climbs_in_int16(self):
+        cfg = ModelConfig(30, [(10, 1.0), (10, 1.0), (10, 1.0)], 0.0)
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=0)
+        assert _climb_matrix(A.matrix).dtype == np.int16
+
 
 class TestAgainstOracles:
     """The table-scored scan and the symmetric-gain search give exactly the
@@ -603,18 +635,50 @@ class TestAgainstOracles:
         got = (p.labels.tolist() for p in enumerate_partitions(config))
         assert list(got) == list(oracle_partitions(config))
 
+    @staticmethod
+    def climb(m, config, rng):
+        """The integer climb and the float oracle from two random starts."""
+        template = config.planted_partition().labels
+        for _ in range(2):
+            start = template[rng.permutation(config.n)]
+            labels, swaps = _hill_climb(_climb_matrix(m), start.copy(), config.r)
+            want_labels, want_swaps = oracle_hill_climb(m, start.copy(), config.r)
+            assert (labels.tolist(), swaps) == (want_labels.tolist(), want_swaps)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_hill_climb(self, seed):
+        """On a 0/1 graph or symmetric weights 0..3 with a diagonal, as
+        int8, int64 or float64: every one climbs in int16."""
         rng = np.random.default_rng(2100 + seed)
         n = int(rng.integers(20, 121))
         config = ModelConfig(n, [(s, 0.5) for s in random_sizes(rng, n, 4)], 0.1)
-        m = random_graph(rng, config).astype(float)
-        template = config.planted_partition().labels
-        for _ in range(2):
-            start = template[rng.permutation(n)]
-            labels, swaps = _hill_climb(m, start.copy(), config.r)
-            want_labels, want_swaps = oracle_hill_climb(m, start.copy(), config.r)
-            assert (labels.tolist(), swaps) == (want_labels.tolist(), want_swaps)
+        if seed % 2:
+            m = random_graph(rng, config)
+        else:
+            m = np.triu(rng.integers(0, 4, size=(n, n)))
+            m = m + np.triu(m, 1).T
+        m = m.astype((np.int8, np.int64, np.float64)[seed % 3])
+        assert _climb_matrix(m).dtype == np.int16
+        self.climb(m, config, rng)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hill_climb_beyond_int16(self, seed):
+        """Weights 280..300 inside two planted halves of about 120 nodes
+        and 0..10 elsewhere, as int64 or float64: the gain bound exceeds
+        int16, and a node's loss on leaving its half nears -2 x 16,000,
+        which int16 would wrap to a false positive gain.  Seeds 0 and 1
+        climb in int32; seeds 2 and 3 scale the weights by 2**20 and climb
+        in int64."""
+        rng = np.random.default_rng(2200 + seed)
+        n = int(rng.integers(115, 131))
+        config = ModelConfig(n, [(n // 2, 0.5), (n // 2, 0.5)], 0.1)
+        planted = config.planted_partition().labels
+        inside = (planted[:, None] == planted) & (planted[:, None] > 0)
+        m = np.where(inside, rng.integers(280, 301, (n, n)), rng.integers(0, 11, (n, n)))
+        m = np.triu(m, 1) << (0, 20)[seed // 2]
+        m = (m + m.T).astype((np.int64, np.float64)[seed % 2])
+        assert _climb_matrix(m).dtype == (np.int32, np.int64)[seed // 2]
+        self.climb(m, config, rng)
 
     def test_mass_table_matches_objective(self):
         rng = np.random.default_rng(41)
