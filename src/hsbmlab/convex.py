@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import Adjacency, as_matrix, config_matrix
+from .generate import Adjacency, config_matrix
 from .model import (ConfigError, ModelConfig, Partition, Recovery,
                     clique_components, clustering_matrix, size_mismatch)
 
@@ -188,7 +188,7 @@ def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
 
 
 def solve_convex(
-    A: Adjacency | np.ndarray,
+    M: np.ndarray,
     nuclear_radius: float,
     sum_target: float,
     max_iter: int = MAX_ITER,
@@ -215,7 +215,7 @@ def solve_convex(
     - max_iter, unconverged.
     """
     check_max_iter(max_iter)
-    a = as_matrix(A).astype(float)
+    a = np.asarray(M, dtype=float)
     certifiable = float(sum_target).is_integer() and bool(np.all(a == np.round(a)))
     Z = project_box_sum(a, sum_target)
     Z = (Z + Z.T) / 2.0
@@ -272,7 +272,7 @@ def round_solution(Y: np.ndarray) -> tuple[Partition | None, str]:
 
 
 def recover_convex(
-    A: Adjacency | np.ndarray,
+    A: Adjacency,
     config: ModelConfig,
     max_iter: int = MAX_ITER,
 ) -> Recovery:
@@ -293,7 +293,7 @@ def recover_convex(
     tightest nuclear ball that still contains them all.
     """
     sum_target = float(sum(s * s for s in config.sizes))
-    objective_matrix = config_matrix(A, config).astype(float) + np.eye(config.n)
+    objective_matrix = config_matrix(A, config) + np.eye(config.n)
     result = solve_convex(objective_matrix, float(config.n_covered), sum_target,
                           max_iter)
     if not result.converged:

@@ -55,7 +55,7 @@ def pair_threshold(config: ModelConfig) -> float:
     return n * q**2 + (intra_floor + cross) / 2.0
 
 
-def recover_counting(A: Adjacency | np.ndarray, config: ModelConfig) -> Recovery:
+def recover_counting(A: Adjacency, config: ModelConfig) -> Recovery:
     """Classify nodes by degree, link surviving pairs by common-neighbor
     count, read clusters off the link graph.
 

@@ -19,13 +19,13 @@ level, each partition a row of per-cluster bitmasks, expanding a bounded
 chunk of rows at a time in canonical order, and scores a row as the sum of
 its clusters' table entries.  The local search keeps each node's mass into
 each label group, from which the gain of every candidate swap of a step is
-one symmetric matrix.  The search takes integer matrices only and
-climbs in the narrowest of int16, int32 and int64 that holds every such
-gain: 2 (max row sum + max entry) bounds them, so a 0/1 graph below 16,383
-nodes climbs in int16.  Both scores are exact, so the winners are those of
-a one-partition-at-a-time, one-pair-at-a-time scan: the first maximum in
-canonical order, and the first maximal swap in row-major order, taken only
-when it improves the mass.
+one symmetric matrix.  Both methods take the observed graph as a 0/1
+``Adjacency``: the table sums in int64, and the search climbs in int16,
+or in int32 when int16 cannot hold the gain bound 2 (max degree + 1),
+which only a max degree above 16,382 needs.  Both scores are exact, so
+the winners are those of a one-partition-at-a-time, one-pair-at-a-time
+scan: the first maximum in canonical order, and the first maximal swap in
+row-major order, taken only when it improves the mass.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import (STREAM_ALGORITHM, Adjacency, as_matrix, config_matrix,
-                       stream_rng)
+from .generate import STREAM_ALGORITHM, Adjacency, config_matrix, stream_rng
 from .model import ConfigError, ModelConfig, Partition
 
 MAX_EXHAUSTIVE_N = 14
@@ -146,10 +145,10 @@ def _labels(rows: np.ndarray, n: int) -> np.ndarray:
     return (bits * np.arange(1, rows.shape[1] + 1)[:, None]).sum(axis=1)
 
 
-def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
+def objective(A: Adjacency, partition: Partition) -> int:
     """Within-cluster edge mass: sum over clusters of the ordered-pair
     adjacency total (twice the number of within-cluster edges)."""
-    m = as_matrix(A)
+    m = A.matrix
     labels = partition.labels
     total = 0
     for label in np.unique(labels):
@@ -161,21 +160,20 @@ def objective(A: Adjacency | np.ndarray, partition: Partition) -> int:
 
 
 def _mass_table(m: np.ndarray) -> np.ndarray:
-    """Within-set mass of every node subset, indexed by its bitmask,
-    summed in the dtype numpy sums m in and truncated to int64 as
-    ``objective`` truncates each cluster's mass.
+    """Within-set mass of every node subset of the 0/1 adjacency matrix m,
+    indexed by its bitmask, in int64.
 
     The subsets whose top node is h are those below h with h added, which
-    adds h's mass to and from each member and m[h, h]."""
-    dtype = m[:0, :0].sum().dtype
-    table = np.zeros(1, dtype=dtype)
+    adds 2 m[h, j] for each member j (m is symmetric, zero on the
+    diagonal)."""
+    weight = 2 * m.astype(np.int64)
+    table = np.zeros(1, dtype=np.int64)
     for h in range(m.shape[0]):
-        weight = m[h].astype(dtype) + m[:, h]
-        link = np.zeros(1, dtype=dtype)
+        link = np.zeros(1, dtype=np.int64)
         for j in range(h):
-            link = np.concatenate([link, link + weight[j]])
-        table = np.concatenate([table, table + link + m[h, h]])
-    return table.astype(np.int64)
+            link = np.concatenate([link, link + weight[h, j]])
+        table = np.concatenate([table, table + link])
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +188,7 @@ class ExhaustiveResult:
 
 
 def solve_exhaustive(
-    A: Adjacency | np.ndarray,
+    A: Adjacency,
     config: ModelConfig,
 ) -> ExhaustiveResult:
     """Scan all admissible partitions for the maximal within-cluster edge
@@ -232,43 +230,29 @@ class LocalSearchResult:
 
 
 def _climb_matrix(m: np.ndarray) -> np.ndarray:
-    """m cast to the narrowest of int16, int32 and int64 that holds its
-    gain bound 2 (max row sum + max entry), which bounds the absolute value
-    of every mass and gain of ``_hill_climb``.  Refuses a matrix that is
-    not symmetric, has a negative or non-integer entry, or whose bound no
-    dtype holds."""
-    if m.dtype.kind not in "biu" and not np.all(np.isfinite(m) & (m == np.trunc(m))):
-        raise ConfigError("local search needs a matrix of integers")
-    if (m < 0).any() or not np.array_equal(m, m.T):
-        raise ConfigError(
-            "local search needs a symmetric matrix without negative entries")
-    # float64 sums of integers are exact below 2**53; larger bounds are
-    # summed again in Python integers.
-    bound = 2 * (m.sum(axis=1, dtype=np.float64).max() + float(m.max()))
-    if bound >= 2.0**53:
-        bound = 2 * (max(sum(map(int, row)) for row in m.tolist()) + int(m.max()))
-    for dtype in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return m.astype(dtype)
-    raise ConfigError(
-        f"local search gain bound {int(bound)} exceeds the int64 range")
+    """The 0/1 adjacency matrix m cast to int16, or to int32 where int16
+    cannot hold its gain bound 2 (max degree + 1), which bounds the
+    absolute value of every mass and gain of ``_hill_climb``."""
+    bound = 2 * (int(m.sum(axis=1).max()) + 1)
+    return m.astype(np.int16 if bound <= np.iinfo(np.int16).max else np.int32)
 
 
 def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, int]:
     """Best-improvement label-swap ascent on the within-cluster edge mass,
-    in the integer dtype of m, which ``_climb_matrix`` chose.
+    in the integer dtype of m: int16 or int32, as ``_climb_matrix`` chose
+    for the 0/1 adjacency.
 
     D[x, g] caches node x's adjacency mass into label group g.  With
     R[x, g] = [g > 0] D[x, g] - [x clustered] D[x, label x] and
     H[u, v] = R[u, label v] - [v clustered] m[u, v], swapping the labels
     of u and v changes the (unordered) mass by G[u, v] = H[u, v] + H[v, u].
     D lies in [0, max row sum], R and H in [-(max row sum + max entry),
-    max row sum], and so G within the gain bound 2 (max row sum + max
-    entry): no step overflows.  G is symmetric, and on a symmetric m >= 0
-    its diagonal and same-label entries are <= 0, so a positive first
-    maximum of all of G in row-major order is the first maximal swap u < v
-    of different labels.  The swap is made only then; swaps stop when the
-    maximum is not positive.
+    max row sum], and so G within 2 (max row sum + max entry), which is
+    the gain bound 2 (max degree + 1) of a 0/1 graph: no step overflows.
+    G is symmetric, and on a symmetric m >= 0 its diagonal and same-label
+    entries are <= 0, so a positive first maximum of all of G in row-major
+    order is the first maximal swap u < v of different labels.  The swap is
+    made only then; swaps stop when the maximum is not positive.
 
     D and R are held transposed, one row per label group, so that H^T is
     a gather of whole rows.
@@ -276,8 +260,8 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
     n = m.shape[0]
     nodes = np.arange(n)
     # float64 products (BLAS) are exact below 2**53, which holds every
-    # int16 and int32 bound; int64 masses take numpy's integer product.
-    onehot = np.zeros((r + 1, n), np.float64 if m.dtype != np.int64 else np.int64)
+    # int16 and int32 bound.
+    onehot = np.zeros((r + 1, n))
     onehot[labels, nodes] = 1
     DT = (onehot @ m).astype(m.dtype)  # = (m @ onehot^T)^T, m being symmetric
     # m with the rows of isolated nodes zeroed, so that
@@ -305,14 +289,14 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
 
 
 def local_search(
-    A: Adjacency | np.ndarray,
+    A: Adjacency,
     config: ModelConfig,
     seed: int,
     restarts: int = 10,
 ) -> LocalSearchResult:
     """Randomly seeded best-improvement swap search; keeps the best local
-    optimum over the given number of restarts.  Deterministic under seed.
-    The matrix must be symmetric, of integers, with no negative entry."""
+    optimum over the given number of restarts, each scored with
+    ``objective``.  Deterministic under seed."""
     check_restarts(restarts)
     m = _climb_matrix(config_matrix(A, config))
     n = m.shape[0]
@@ -325,7 +309,7 @@ def local_search(
         labels = template[rng.permutation(n)].copy()
         labels, swaps = _hill_climb(m, labels, config.r)
         total_swaps += swaps
-        val = objective(m, Partition(labels))
+        val = objective(A, Partition(labels))
         if val > best_val:
             best_val = val
             best_labels = labels

@@ -106,22 +106,16 @@ class Adjacency:
         return self.matrix.shape[0]
 
 
-def as_matrix(A: Adjacency | np.ndarray) -> np.ndarray:
-    """The matrix of an Adjacency, or the array itself, uncast."""
-    return A.matrix if isinstance(A, Adjacency) else np.asarray(A)
-
-
 def check_node_count(nodes: int, n: int) -> None:
     """Refuse a graph of the given node count for a config of n nodes."""
     if nodes != n:
         raise ConfigError(f"adjacency has {nodes} nodes but config has n = {n}")
 
 
-def config_matrix(A: Adjacency | np.ndarray, config: ModelConfig) -> np.ndarray:
-    """as_matrix(A), refusing a graph whose node count is not config.n."""
-    m = as_matrix(A)
-    check_node_count(m.shape[0], config.n)
-    return m
+def config_matrix(A: Adjacency, config: ModelConfig) -> np.ndarray:
+    """A's matrix, refusing a graph whose node count is not config.n."""
+    check_node_count(A.n, config.n)
+    return A.matrix
 
 
 UNOBSERVED = -1

@@ -141,7 +141,7 @@ class ModelConfig:
             raise ConfigError("at least one cluster is required")
         if self._sizes.min() < 1:
             raise ConfigError(f"cluster sizes must be >= 1, got {self._sizes.min()}")
-        if np.any((self._probs < 0.0) | (self._probs > 1.0)):
+        if not np.all((self._probs >= 0.0) & (self._probs <= 1.0)):  # NaN too
             raise ConfigError("cluster probabilities must be in [0, 1]")
         total = self.n_covered
         if total > self.n:

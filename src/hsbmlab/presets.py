@@ -74,6 +74,17 @@ def _take(constants: dict, defaults: dict, example_id: int) -> dict:
     return merged
 
 
+def _count(c: dict, name: str, example_id: int) -> int:
+    """Constant `name` as an int; a ConfigError unless it is a whole
+    number (3.0 is, since --constant reads every value as a float)."""
+    value = c[name]
+    if not (isinstance(value, int) or value.is_integer()):
+        raise ConfigError(
+            f"example {example_id} constant {name!r} must be a whole number, "
+            f"got {value}")
+    return int(value)
+
+
 def _build(example_id: int, n: int, runs, q: float) -> ModelConfig:
     """Config from (size, p, count) runs, in cluster order."""
     try:
@@ -112,7 +123,7 @@ def _example2(n: int, constants: dict) -> ModelConfig:
 
 def _example3(n: int, constants: dict) -> ModelConfig:
     c = _take(constants, {"m": 2, "p1": 0.95, "c2": 1.0, "c_q": 1.0}, 3)
-    m = int(c["m"])
+    m = _count(c, "m", 3)
     if m < 1:
         raise ConfigError(f"example 3 needs m >= 1, got {m}")
     log_n = math.log(n)
@@ -159,7 +170,7 @@ def _example4(n: int, constants: dict) -> ModelConfig:
 
 def _example5(n: int, constants: dict) -> ModelConfig:
     c = _take(constants, {"m": 1, "p1": 0.95, "c2": 1.0, "c_q": 1.0}, 5)
-    m = int(c["m"])
+    m = _count(c, "m", 5)
     if m < 1:
         raise ConfigError(f"example 5 needs m >= 1, got {m}")
     log_n = math.log(n)
@@ -178,7 +189,7 @@ def _example6(n: int, constants: dict) -> ModelConfig:
     required = {"q": None, "p_min": None, "p2": None, "p3": None,
                 "n_min": None, "n3": None, "k3": None}
     c = _take(constants, required, 6)
-    n_min, n3, k3 = int(c["n_min"]), int(c["n3"]), int(c["k3"])
+    n_min, n3, k3 = (_count(c, name, 6) for name in ("n_min", "n3", "k3"))
     p_min, p2, p3, q = c["p_min"], c["p2"], c["p3"], c["q"]
     if p_min > min(p2, p3):
         raise ConfigError(

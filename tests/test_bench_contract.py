@@ -28,3 +28,14 @@ def test_workload_warm_up_runs(name):
     # hsbmlab with the arguments the benchmark expects.
     with workload.tapped():
         workload.warm_up()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_round_passes_its_checks(name):
+    # The benchmark's own output checks, on its first timed round.
+    workload = workloads.WORKLOADS[name](seed=0)
+    with workload.tapped():
+        ops = workload.run_round(0)
+    assert ops
+    assert [op.label for op in ops if op.failed] == []
+    assert workload.check(ops) == []

@@ -148,6 +148,18 @@ class TestClassify:
          "C must be positive, got -1.0"),
         (["--example", "2", "--n", "1000", "--constant-C", "nan"],
          "C must be positive, got nan"),
+        (["--example", "3", "--n", "10000", "--constant", "p1=nan"],
+         "example 3 infeasible at n = 10000: cluster probabilities must be in [0, 1]"),
+        (["--example", "3", "--n", "10000", "--constant", "m=nan"],
+         "example 3 constant 'm' must be a whole number, got nan"),
+        (["--example", "3", "--n", "10000", "--constant", "m=inf"],
+         "example 3 constant 'm' must be a whole number, got inf"),
+        (["--example", "5", "--n", "10000", "--constant", "m=2.5"],
+         "example 5 constant 'm' must be a whole number, got 2.5"),
+        (["--example", "6", "--n", "10000", "--constant", "q=0.3",
+          "--constant", "p_min=0.4", "--constant", "p2=0.7", "--constant", "p3=0.7",
+          "--constant", "n_min=30.7", "--constant", "n3=30", "--constant", "k3=1"],
+         "example 6 constant 'n_min' must be a whole number, got 30.7"),
     ])
     def test_bad_constant_exits_2(self, flags, reason, capsys):
         assert main(["classify", *flags]) == 2
@@ -174,7 +186,11 @@ class TestClassify:
          "cluster probability must be a number, got '0.9'"),
         ({"clusters": [[5, 0.9], [5, None]]},
          "cluster probability must be a number, got None"),
-    ], ids=["string-n", "float-n", "string-q", "bool-gamma", "string-p", "null-p"])
+        # json writes and reads the NaN literal.
+        ({"clusters": [[5, float("nan")], [5, 0.9]]},
+         "cluster probabilities must be in [0, 1]"),
+    ], ids=["string-n", "float-n", "string-q", "bool-gamma", "string-p", "null-p",
+            "nan-p"])
     def test_non_number_config_field_exits_2(self, tmp_path, capsys, fields, reason):
         config = tmp_path / "typed.json"
         config.write_text(json.dumps({"n": 10, "q": 0.05,

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsbmlab import (
+    Adjacency,
     ConfigError,
     ModelConfig,
     Partition,
@@ -288,7 +289,7 @@ class TestSolverOptions:
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
             solve_convex(np.zeros((4, 4)), 4.0, 8.0, **kwargs)
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
-            recover_convex(np.zeros((4, 4)), cfg, **kwargs)
+            recover_convex(Adjacency(np.zeros((4, 4))), cfg, **kwargs)
 
     @pytest.mark.parametrize("value", [5.0, True, "5"])
     def test_non_integer_rejected(self, value):
@@ -309,7 +310,7 @@ class TestSolveConvex:
     def test_iterate_always_box_sum_feasible(self):
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=1)
-        res = solve_convex(A, 10.0, 50.0)
+        res = solve_convex(A.matrix, 10.0, 50.0)
         Y = res.Y
         assert (Y >= -1e-12).all() and (Y <= 1.0 + 1e-12).all()
         assert abs(Y.sum() - 50.0) < 1e-6
@@ -320,7 +321,7 @@ class TestSolveConvex:
         cfg = ModelConfig(12, [(6, 1.0), (6, 1.0)], 0.0)
         part = cfg.planted_partition()
         A = sample_adjacency(cfg, part, seed=0)
-        res = solve_convex(A, 12.0, 72.0)
+        res = solve_convex(A.matrix, 12.0, 72.0)
         assert res.converged
         ideal = np.kron(np.eye(2), np.ones((6, 6)))
         assert np.abs(res.Y - ideal).max() < 1e-4
@@ -333,7 +334,7 @@ class TestSolveConvex:
         ideal = np.kron(np.eye(2), np.ones((5, 5)))
         for seed in range(5):
             A = sample_adjacency(cfg, part, seed=seed)
-            res = solve_convex(A, 10.0, 50.0)
+            res = solve_convex(A.matrix, 10.0, 50.0)
             planted_obj = float(np.tensordot(A.matrix.astype(float), ideal))
             assert res.objective >= planted_obj - 0.5
 
@@ -342,7 +343,7 @@ class TestSolveConvex:
         # stop the solver within one iteration.
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=36)
-        res = solve_convex(A, 10.0, 50.0, max_iter=1)
+        res = solve_convex(A.matrix, 10.0, 50.0, max_iter=1)
         assert res.iterations == 1
         assert not res.converged
 

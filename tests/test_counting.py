@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hsbmlab import (
+    Adjacency,
     ConfigError,
     ModelConfig,
     isolated_threshold,
@@ -108,7 +109,7 @@ class TestRecovery:
         A = np.zeros((6, 6), dtype=np.int8)
         for i, j in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]:
             A[i, j] = A[j, i] = 1
-        rec = recover_counting(A, cfg)
+        rec = recover_counting(Adjacency(A), cfg)
         assert rec.partition is None
         assert rec.failure_kind == "counting"
         assert rec.detail == "not_clique: component of 6 nodes is missing 5 links"
@@ -120,7 +121,7 @@ class TestRecovery:
         A = np.zeros((4, 4), dtype=np.int8)
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             A[i, j] = A[j, i] = 1
-        rec = recover_counting(A, cfg)
+        rec = recover_counting(Adjacency(A), cfg)
         assert rec.partition is None
         assert rec.failure_kind == "counting"
         assert rec.detail == "size_mismatch: component sizes [3] != configured [2, 2]"
@@ -134,7 +135,7 @@ class TestRecovery:
         A = np.zeros((4, 4), dtype=np.int8)
         A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = 1
         assert pair_threshold(cfg) == 0.0
-        rec = recover_counting(A, cfg)
+        rec = recover_counting(Adjacency(A), cfg)
         assert rec.partition is None
         assert rec.detail.startswith("size_mismatch: ")
 
@@ -149,7 +150,7 @@ class TestRecovery:
     def test_shape_mismatch(self):
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         with pytest.raises(ConfigError):
-            recover_counting(np.zeros((6, 6)), cfg)
+            recover_counting(Adjacency(np.zeros((6, 6))), cfg)
 
 
 class TestScaling:

@@ -205,6 +205,14 @@ class TestValidation:
             Adjacency(np.array([[0, 2], [2, 0]], dtype=np.int8))  # not 0/1
         with pytest.raises(ValueError):
             Adjacency(np.zeros((2, 3), dtype=np.int8))  # not square
+        # Weighted, negative or asymmetric entries: a complete graph on 4
+        # nodes with the pair (0, 1) set to each.
+        for pair in [(0.5, 0.5), (np.nan, np.nan), (np.inf, np.inf),
+                     (-1.0, -1.0), (0.0, 1.0)]:
+            m = np.ones((4, 4)) - np.eye(4)
+            m[0, 1], m[1, 0] = pair
+            with pytest.raises(ValueError):
+                Adjacency(m)
 
     def test_observed_constructor_rejects_bad_matrices(self):
         with pytest.raises(ValueError):

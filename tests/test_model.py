@@ -89,6 +89,9 @@ class TestModelConfig:
             ModelConfig(10, [(5, 1.2)], 0.05)
         with pytest.raises(ConfigError):
             ModelConfig(10, [(5, 0.9)], -0.1)
+        # NaN fails every comparison, so it must not pass a range test.
+        with pytest.raises(ConfigError, match=r"probabilities must be in \[0, 1\]"):
+            ModelConfig(10, [(5, float("nan")), (5, 0.9)], 0.05)
 
     def test_immutable(self):
         cfg = ModelConfig(10, [(5, 0.9)], 0.05)

@@ -142,9 +142,14 @@ class TestFamily5:
         assert close(cfg.q, log_n / n)
 
     def test_multiple_big_clusters(self):
-        cfg = example_config(5, 10**4, {"m": 2})
         s_big = round(math.sqrt(10**4 * math.log(10**4)))
-        assert cfg.sizes.tolist().count(s_big) >= 2
+        # --constant reads every value as a float, so a whole float counts.
+        for m in (2, 2.0):
+            cfg = example_config(5, 10**4, {"m": m})
+            assert cfg.sizes.tolist().count(s_big) >= 2
+        for m in (2.5, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="constant 'm' must be a whole number"):
+                example_config(5, 10**4, {"m": m})
 
     def test_infeasible_when_big_clusters_eat_graph(self):
         with pytest.raises(ConfigError):
