@@ -551,6 +551,26 @@ class TestLocalSearch:
         with pytest.raises(ConfigError):
             local_search(Adjacency(np.zeros((4, 4))), cfg, seed=0)
 
+    # The climb reads only the maximum of a symmetric gain matrix and runs in
+    # integers, so it is exact only on a 0/1 graph; local_search takes an
+    # Adjacency, whose constructor refuses these matrices before the climb.
+    @pytest.mark.parametrize("pair", [(-1.0, -1.0), (0.0, 1.0)])
+    def test_refuses_negative_or_asymmetric_matrix(self, pair):
+        cfg = ModelConfig(4, [(2, 0.9), (2, 0.9)], 0.1)
+        m = np.ones((4, 4)) - np.eye(4)
+        m[0, 1], m[1, 0] = pair
+        with pytest.raises(ValueError, match="must be symmetric|must be 0 or 1"):
+            local_search(Adjacency(m), cfg, seed=0)
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, np.inf])
+    def test_refuses_non_integer_matrix(self, value):
+        cfg = ModelConfig(4, [(2, 0.9), (2, 0.9)], 0.1)
+        m = np.ones((4, 4)) - np.eye(4)
+        m[0, 1] = m[1, 0] = value
+        # NaN != NaN, so a NaN entry already fails the symmetry test.
+        with pytest.raises(ValueError, match="must be symmetric|must be 0 or 1"):
+            local_search(Adjacency(m), cfg, seed=0)
+
     # (max degree, the climb's dtype): the gain bound 2 (max degree + 1)
     # fits int16 up to degree 16,382.  The bound reads only the row sums,
     # so one adjacency row of that degree stands for the graph.
