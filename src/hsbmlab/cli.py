@@ -248,15 +248,27 @@ def cmd_montecarlo(args) -> int:
 
 
 def _int_list(flag: str, text: str, parse) -> list[int]:
-    """Parse a comma-separated flag value; a malformed token is a ConfigError."""
+    """Parse a comma-separated flag value; a malformed token or a list with
+    no token is a ConfigError."""
     try:
-        return [parse(tok) for tok in text.split(",") if tok]
+        values = [parse(tok) for tok in text.split(",") if tok]
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{flag}: the list is empty")
+    return values
+
+
+def _whole_number(tok: str) -> int:
+    """A token such as "10000" or "1e4" as an int; a fraction is a ValueError."""
+    value = float(tok)
+    if int(value) != value:
+        raise ValueError(f"must be a whole number, got {tok}")
+    return int(value)
 
 
 def cmd_table1(args) -> int:
-    n_grid = _int_list("--n-grid", args.n_grid, lambda tok: int(float(tok)))
+    n_grid = _int_list("--n-grid", args.n_grid, _whole_number)
     example_ids = tuple(_int_list("--examples", args.examples, int))
     rows = run_table1(n_grid, C=args.constant_c, eta=args.eta,
                       example_ids=example_ids)

@@ -283,8 +283,8 @@ def run_table1(
     asymptotic satisfied/violated pattern visible as margins drifting above
     or below 1.  Family 6 uses its reference constants.
     Infeasible (example, n) pairs yield a feasible=False row with a note;
-    an unknown example id or a non-positive C or eta is a ConfigError,
-    raised before any row.
+    an unknown example id, or a C or eta that is not positive and finite,
+    is a ConfigError, raised before any row.
     """
     for ex in example_ids:
         check_example_id(ex)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 if TYPE_CHECKING:
     from .convex import SolverResult
@@ -331,27 +330,49 @@ def clique_components(link: np.ndarray, keep: np.ndarray | None = None):
     """Read clusters off a symmetric boolean link matrix as its connected
     components, each of which must be a clique.
 
-    Components are labelled 1, 2, ... in component order; a singleton
-    component becomes an isolated node (label 0) unless ``keep`` marks it.
-    Returns ``(labels, None)``, or ``(None, (size, missing))`` for the first
-    component that is not a clique: its node count and its unlinked pairs.
+    Components are labelled 1, 2, ... in order of their smallest node, as
+    int32; a singleton component becomes an isolated node (label 0) unless
+    ``keep`` marks it.  Returns ``(labels, None)``, or ``(None, (size,
+    missing))`` for the first component that is not a clique: its node
+    count and its unlinked pairs.
+
+    Components come from hooking and compressing (Shiloach-Vishkin) a
+    forest of trees, each rooted at its smallest node: each node starts
+    under its smallest neighbour, and each pass compresses every node onto
+    its root, then hooks each root under the smallest root next to its
+    tree, read as the first linked column once the columns are sorted by
+    root.  The number of trees at least halves every two passes, and
+    disjoint cliques settle on the first.  A component is a clique when
+    every pair of its nodes is linked.  Each n x n temporary is boolean,
+    one byte per entry, and at most two are alive at once.
     """
-    n_comp, comp = connected_components(link, directed=False)
-    labels = np.zeros(link.shape[0], dtype=np.int32)
-    next_label = 1
-    for c in range(n_comp):
-        members = np.flatnonzero(comp == c)
-        if len(members) == 1 and (keep is None or not keep[members[0]]):
-            continue
-        sub = link[np.ix_(members, members)]
-        np.fill_diagonal(sub, True)
-        if not sub.all():
-            missing = int(len(members) * (len(members) - 1) // 2
-                          - np.triu(sub, 1).sum())
-            return None, (len(members), missing)
-        labels[members] = next_label
-        next_label += 1
-    return labels, None
+    n = link.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int32), None
+    closed = np.array(link, dtype=bool)
+    np.fill_diagonal(closed, True)
+    root = closed.argmax(axis=1)  # the smallest neighbour, at most the node
+    while True:
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+        order = np.argsort(root)
+        low = root[order[np.take(closed, order, axis=1).argmax(axis=1)]]
+        if np.array_equal(low, root):
+            break
+        np.minimum.at(root, root.copy(), low)  # index by the roots before hooking
+
+    unlinked = np.logical_not(closed, out=closed)
+    unlinked &= root[:, None] == root[None, :]
+    flawed = unlinked.any(axis=1)
+    if flawed.any():
+        members = root == root[flawed].min()
+        return None, (int(members.sum()), int(unlinked[members].sum()) // 2)
+    own = root == np.arange(n)
+    kept = np.bincount(root, minlength=n)[root] > 1
+    if keep is not None:
+        kept |= np.asarray(keep, dtype=bool)
+    return np.where(kept, np.cumsum(own & kept)[root], 0).astype(np.int32), None
 
 
 @dataclass(frozen=True)

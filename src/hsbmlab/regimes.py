@@ -55,9 +55,11 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _require_positive(name: str, value: float) -> None:
-    """A checker constant must be a positive number (not NaN)."""
+    """A checker constant must be a positive, finite number (not NaN)."""
     if not value > 0.0:
         raise ConfigError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,11 @@ class TestClassify:
           "--constant", "p_min=0.4", "--constant", "p2=0.7", "--constant", "p3=0.7",
           "--constant", "n_min=30.7", "--constant", "n3=30", "--constant", "k3=1"],
          "example 6 constant 'n_min' must be a whole number, got 30.7"),
+        (["--example", "1", "--n", "100", "--eta", "inf"], "eta must be finite, got inf"),
+        (["--example", "2", "--n", "1000", "--constant-C", "inf"],
+         "C must be finite, got inf"),
+        (["--example", "2", "--n", "1000", "--constant-C=-inf"],
+         "C must be positive, got -inf"),
     ])
     def test_bad_constant_exits_2(self, flags, reason, capsys):
         assert main(["classify", *flags]) == 2
@@ -721,12 +726,22 @@ class TestTable1:
         ("--n-grid", "1e4,abc", "could not convert string to float: 'abc'"),
         ("--n-grid", "1e4,inf", "cannot convert float infinity to integer"),
         ("--examples", "1,x", "invalid literal for int() with base 10: 'x'"),
+        ("--n-grid", "1e4,12345.6", "must be a whole number, got 12345.6"),
+        ("--n-grid", "1.5e0", "must be a whole number, got 1.5e0"),
+        ("--n-grid", "", "the list is empty"),
+        ("--n-grid", ",", "the list is empty"),
+        ("--examples", "", "the list is empty"),
     ])
     def test_malformed_list_exits_2(self, flag, value, reason, capsys):
         assert main(["table1", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag}: {reason}\n"
         assert captured.out == ""
+
+    def test_whole_number_forms_accepted(self, capsys):
+        assert main(["table1", "--n-grid", "1e4,10000,1.0e4", "--examples", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3 and all("'n': 10000," in row for row in rows)
 
     @pytest.mark.parametrize("flags, reason", [
         (["--eta", "-1"], "eta must be positive, got -1.0"),
@@ -736,6 +751,10 @@ class TestTable1:
          "eta must be positive, got -1.0"),
         (["--n-grid", "5", "--constant-C", "0", "--examples", "1"],
          "C must be positive, got 0.0"),
+        (["--eta", "inf", "--examples", "1"], "eta must be finite, got inf"),
+        (["--constant-C", "inf", "--examples", "1"], "C must be finite, got inf"),
+        (["--n-grid", "5", "--eta", "inf", "--examples", "1"],
+         "eta must be finite, got inf"),
     ])
     def test_bad_input_exits_2(self, flags, reason, capsys):
         assert main(["table1", "--n-grid", "1e4", *flags]) == 2
@@ -836,6 +855,17 @@ class TestParser:
                               env={**os.environ, "PYTHONPATH": package_root})
         assert proc.returncode == 0
         assert b"montecarlo" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only dependency; a fresh interpreter shows what the
+        # package and its CLI pull in, whatever this process has loaded.
+        package_root = str(Path(hsbmlab.__file__).resolve().parents[1])
+        code = ("import sys, hsbmlab, hsbmlab.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": package_root})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 # The package's public names, with the ten submodules that the computed

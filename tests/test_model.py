@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +466,64 @@ class TestPartitionsEqual:
         assert partitions_equal(parts[0], parts[2])
 
 
+def bfs_clique_components(link, keep=None):
+    """Oracle for clique_components: a breadth-first search from each
+    unvisited node in index order, so components come by smallest node."""
+    n = len(link)
+    neighbours = [{j for j in range(n) if link[i][j] and j != i} for i in range(n)]
+    labels, seen, label = [0] * n, [False] * n, 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, queue = [start], deque([start])
+        while queue:
+            for j in neighbours[queue.popleft()]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+                    queue.append(j)
+        pairs = len(members) * (len(members) - 1) // 2
+        linked = sum(len(neighbours[i]) for i in members) // 2
+        if linked < pairs:
+            return None, (len(members), pairs - linked)
+        if len(members) > 1 or (keep is not None and keep[start]):
+            label += 1
+            for i in members:
+                labels[i] = label
+    return np.array(labels, dtype=np.int32), None
+
+
+def symmetric(upper):
+    """The symmetric matrix of a square boolean matrix's strict upper triangle."""
+    upper = np.triu(upper, 1)
+    return upper | upper.T
+
+
+def permuted_path(rng, n, gap=0.0):
+    """A path through the nodes in random order, each link dropped with
+    probability `gap`; the smallest node can sit anywhere on it, so hooking
+    takes many passes."""
+    order = rng.permutation(n)
+    link = np.zeros((n, n), dtype=bool)
+    kept = rng.random(max(n - 1, 0)) >= gap
+    link[order[:-1][kept], order[1:][kept]] = True
+    return link | link.T
+
+
+def permuted_cliques(rng, n, flips=0):
+    """Disjoint cliques on randomly chosen nodes (label 0 stays isolated),
+    with `flips` random pairs toggled."""
+    labels = rng.integers(0, max(n // 3, 1) + 1, size=n)
+    link = (labels[:, None] == labels[None, :]) & (labels[:, None] > 0)
+    for _ in range(flips):
+        i, j = rng.integers(n, size=2)
+        if i != j:
+            link[i, j] = link[j, i] = not link[i, j]
+    np.fill_diagonal(link, False)
+    return link
+
+
 class TestCliqueComponents:
     @staticmethod
     def link(n, pairs):
@@ -492,3 +552,70 @@ class TestCliqueComponents:
         labels, flaw = clique_components(link[3:, 3:])
         assert labels is None
         assert flaw == (4, 3)
+
+    @staticmethod
+    def random_case(rng):
+        n = int(rng.integers(1, 40))
+        kind = rng.integers(5)
+        if kind == 0:
+            link = symmetric(rng.random((n, n)) < rng.random() * 0.3)
+        elif kind == 1:
+            link = permuted_cliques(rng, n)
+        elif kind == 2:
+            link = permuted_cliques(rng, n, flips=int(rng.integers(1, 4)))
+        elif kind == 3:
+            link = permuted_path(rng, n, gap=0.1)
+        else:
+            link = np.zeros((n, n), dtype=bool)
+        keep = rng.random(n) < 0.5 if rng.random() < 0.5 else None
+        return link, keep
+
+    def test_matches_breadth_first_oracle(self):
+        rng = np.random.default_rng(20)
+        flawed = 0
+        for _ in range(600):
+            link, keep = self.random_case(rng)
+            labels, flaw = clique_components(link, keep=keep)
+            want_labels, want_flaw = bfs_clique_components(link, keep=keep)
+            assert flaw == want_flaw
+            if want_labels is None:
+                assert labels is None
+                flawed += 1
+            else:
+                assert labels.dtype == np.int32
+                assert labels.tolist() == want_labels.tolist()
+        assert 100 < flawed < 500  # both outcomes are exercised
+
+    def test_edge_cases_match_oracle(self):
+        for n in (0, 1, 2, 7):
+            link = np.zeros((n, n), dtype=bool)
+            for keep in (None, np.ones(n, dtype=bool), np.arange(n) % 2 == 0):
+                labels, flaw = clique_components(link, keep=keep)
+                want, _ = bfs_clique_components(link, keep=keep)
+                assert flaw is None and labels.dtype == np.int32
+                assert labels.tolist() == want.tolist()
+        # A set diagonal is not a link.
+        labels, _ = clique_components(np.eye(3, dtype=bool))
+        assert labels.tolist() == [0, 0, 0]
+
+    def test_long_permuted_path(self):
+        n = 300
+        link = permuted_path(np.random.default_rng(3), n)
+        assert clique_components(link) == (None, (n, n * (n - 1) // 2 - (n - 1)))
+
+    def test_peak_memory_is_a_few_bytes_per_pair(self):
+        # Every n x n temporary holds one byte per entry, so the peak stays
+        # near 2 n^2 bytes; an int64 n x n array alone would be 8 n^2.
+        n = 2000
+        rng = np.random.default_rng(4)
+        graphs = {"cliques": permuted_cliques(rng, n),
+                  "path": permuted_path(rng, n),
+                  "random": symmetric(rng.random((n, n), dtype=np.float32) < 0.002)}
+        for name, link in graphs.items():
+            tracemalloc.start()
+            try:
+                clique_components(link)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * n * n, (name, peak / n**2)
