@@ -19,7 +19,10 @@ It is solved by Douglas-Rachford splitting between the nuclear-norm ball
 shift found exactly from the sorted entries), with the linear objective
 folded into the second proximal step at unit step size.  With an integer objective matrix
 the iteration stops as soon as weak duality proves that the rounded iterate
-is a best clustering matrix in the body (see ``solve_convex``).  The
+is a best clustering matrix in the body (see ``solve_convex``).  For A + I
+the proof needs a gap below 2, not 1: every clustering matrix in the body
+scores an integer of one parity (``_value_step``).  The spectral
+projection rebuilds its result from the eigenpairs the shrink keeps.  The
 candidate iterate is then rounded entrywise and validated: every connected
 component of the thresholded matrix must be a clique, and
 ``recover_convex`` also requires the cluster sizes to be the configured
@@ -44,8 +47,9 @@ MAX_ITER = 2000
 ROUNDING_THRESHOLD = 0.5
 TOL_CHANGE = 1e-7
 TOL_FEASIBILITY = 1e-6
-# A certificate needs bound - <M, Y_P> < 1 - CERTIFICATE_SLACK; the slack
-# keeps float error in the bound (relative 1e-12 or less) from certifying.
+# A certificate needs bound - <M, Y_P> < step - CERTIFICATE_SLACK, step the
+# spacing of clustering values (``_value_step``); the slack keeps float
+# error in the bound (relative 1e-12 or less) from certifying.
 CERTIFICATE_SLACK = 1e-3
 
 
@@ -56,7 +60,8 @@ class SolverResult:
     gap is the last computed dual bound minus <M, Y_P>, Y_P the clustering
     matrix of the rounded iterate; inf when no iterate rounded to a
     clustering matrix in the body, or when M or sum_target is not an
-    integer.
+    integer.  A certified result's gap is below the value step of M (2 for
+    A + I, see ``_value_step``) less CERTIFICATE_SLACK.
     """
 
     Y: np.ndarray
@@ -90,19 +95,24 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, len(u) + 1)
-    rho = np.nonzero(u - (css - radius) / j > 0)[0][-1]
+    positive = np.nonzero(u - (css - radius) / j > 0)[0]
+    rho = positive[-1] if positive.size else 0  # none only at radius 0
     tau = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
 def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
     """Frobenius projection of a symmetric matrix onto {||Y||_* <= radius}:
-    eigendecompose and project the spectrum onto the l1 ball."""
+    eigendecompose and project the spectrum onto the l1 ball, then rebuild
+    from the kept eigenpairs alone, those whose projected eigenvalue is
+    nonzero.  The shrink zeroes most of them, and each dropped term is an
+    exact zero in the full rebuild (V * w_proj) @ V.T."""
     w, V = np.linalg.eigh(M)
     if np.abs(w).sum() <= radius:
         return M.copy()
     w_proj = _project_l1_ball(w, radius)
-    out = (V * w_proj) @ V.T
+    kept = np.flatnonzero(w_proj)
+    out = (V[:, kept] * w_proj[kept]) @ V[:, kept].T
     return (out + out.T) / 2.0
 
 
@@ -187,6 +197,24 @@ def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
     return Y_P, value, dual_bound(M, Z, Y, sum_target) - value
 
 
+def _value_step(M: np.ndarray) -> int:
+    """The spacing of <M, Y_P> over the clustering matrices Y_P in the body:
+    2 when M is integer-valued, exactly symmetric and its diagonal entries
+    all share one parity d, else 1.
+
+    For symmetric M, <M, Y_P> = sum of M_ii over the clustered nodes plus
+    twice the sum of M_ij over the pairs i < j in one cluster.  With d the
+    diagonal's parity the value is d * sum |C| modulo 2, and since
+    x = x^2 (mod 2), sum |C| has the parity of sum |C|^2 = sum_target.  So
+    every clustering matrix in the body scores d * sum_target modulo 2.
+    A + I (odd diagonal) and A (even) both qualify.
+    """
+    parity = np.diagonal(M) % 2
+    one_parity = bool(np.all(parity == parity[:1]))
+    integer = bool(np.all(M == np.round(M)))
+    return 2 if integer and one_parity and np.array_equal(M, M.T) else 1
+
+
 def solve_convex(
     M: np.ndarray,
     nuclear_radius: float,
@@ -204,11 +232,13 @@ def solve_convex(
       integer): the box-feasible iterate W rounds to a clustering matrix
       Y_P in the body (sizes with sum of squares sum_target and sum at most
       the radius), and the dual bound (``dual_bound``) exceeds <M, Y_P> by
-      less than 1 - CERTIFICATE_SLACK.  <M, Y> is an integer on every
-      clustering matrix, so none in the body scores more than Y_P: Y_P is a
-      maximum over them (not necessarily the only one, and the relaxation
-      itself may still be fractional).  The result is Y = Y_P with
-      objective <M, Y_P>, converged, and its gap;
+      less than step - CERTIFICATE_SLACK.  The values <M, Y> of the
+      clustering matrices in the body differ by multiples of step
+      (``_value_step``: 2 for A + I, whose diagonal has one parity, else
+      1), so none scores more than Y_P: Y_P is a maximum over them (not
+      necessarily the only one, and the relaxation itself may still be
+      fractional).  The result is Y = Y_P with objective <M, Y_P>,
+      converged, and its gap;
     - the change test: a relative change of at most TOL_CHANGE between the
       two half-steps, then converged only if the box-feasible iterate is
       also within relative TOL_FEASIBILITY of the nuclear ball;
@@ -217,6 +247,7 @@ def solve_convex(
     check_max_iter(max_iter)
     a = np.asarray(M, dtype=float)
     certifiable = float(sum_target).is_integer() and bool(np.all(a == np.round(a)))
+    step = _value_step(a)
     Z = project_box_sum(a, sum_target)
     Z = (Z + Z.T) / 2.0
     W = Z
@@ -233,7 +264,7 @@ def solve_convex(
             found = _certify(a, Z, Y, W, nuclear_radius, int(sum_target))
             if found is not None:
                 Y_P, value, gap = found
-                if gap < 1.0 - CERTIFICATE_SLACK:
+                if gap < step - CERTIFICATE_SLACK:
                     return SolverResult(Y=Y_P, iterations=iterations, converged=True,
                                         change=change, nuclear_residual=0.0,
                                         sum_residual=0.0, objective=value, gap=gap)
