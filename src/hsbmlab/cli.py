@@ -29,9 +29,10 @@ from .harness import (
     write_results,
     write_table1,
 )
-from .model import ConfigError, ModelConfig, json_value
+from .model import INTEGER, ConfigError, ModelConfig, check_keys, json_value
 from .presets import EXAMPLE_IDS, example_config
 from .regimes import classify, csv_cells
+from .spectral import concentration_experiment
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -189,8 +190,6 @@ def cmd_recover(args) -> int:
 
 
 def cmd_bench_spectral(args) -> int:
-    from .spectral import concentration_experiment
-
     config = _config_from_args(args)
     stats = concentration_experiment(config, trials=args.trials, seed=args.seed)
     rows = stats.rows()
@@ -207,33 +206,42 @@ def cmd_bench_spectral(args) -> int:
     return EXIT_OK
 
 
-def _spec_field(raw: dict, field: str, default, kind: type):
+SPEC_KEYS = ("config", "example", "algorithms", "trials", "base_seed",
+             "config_id", "solver", "restarts")
+EXAMPLE_KEYS = ("id", "n", "constants")
+
+
+def _spec_field(raw: dict, field: str, default, kind):
     """A field of a spec file, of the given kind: a JSON integer (not a
     bool), string, object or list."""
     return json_value(raw.get(field, default), kind, f"spec field {field!r}")
 
 
 def _spec_from_file(path: str, args) -> ExperimentSpec:
+    """The spec a file holds; an unknown key, at its top level or in its
+    example entry, is a ConfigError, as is giving both config and example."""
     raw = _on_file("--spec", path, _json_object)
+    check_keys(raw, SPEC_KEYS, "spec")
+    if ("example" in raw) == ("config" in raw):
+        raise ConfigError("spec file needs exactly one of a 'config' or 'example' entry")
     if "example" in raw:
         ex = _spec_field(raw, "example", None, dict)
-        config = example_config(_spec_field(ex, "id", None, int),
-                                _spec_field(ex, "n", None, int),
+        check_keys(ex, EXAMPLE_KEYS, "example")
+        config = example_config(_spec_field(ex, "id", None, INTEGER),
+                                _spec_field(ex, "n", None, INTEGER),
                                 _spec_field(ex, "constants", {}, dict))
-    elif "config" in raw:
-        config = ModelConfig.from_dict(raw["config"])
     else:
-        raise ConfigError("spec file needs a 'config' or 'example' entry")
+        config = ModelConfig.from_dict(_spec_field(raw, "config", None, dict))
     config = _with_gamma(config, args.gamma)
     max_iter = _max_iter(raw.get("solver", {}))
     return ExperimentSpec(
         config=config,
         algorithms=tuple(_spec_field(raw, "algorithms", ["convex"], list)),
-        trials=_spec_field(raw, "trials", 10, int),
-        base_seed=_spec_field(raw, "base_seed", args.seed, int),
+        trials=_spec_field(raw, "trials", 10, INTEGER),
+        base_seed=_spec_field(raw, "base_seed", args.seed, INTEGER),
         config_id=_spec_field(raw, "config_id", "config", str),
         max_iter=max_iter,
-        restarts=_spec_field(raw, "restarts", 10, int),
+        restarts=_spec_field(raw, "restarts", 10, INTEGER),
     )
 
 

@@ -222,7 +222,7 @@ def solve_convex(
     max_iter: int = MAX_ITER,
 ) -> SolverResult:
     """Douglas-Rachford iteration for max <M, Y> over the relaxation body,
-    M the given matrix.
+    M the given matrix, which must be exactly symmetric (else ValueError).
 
     Alternates the spectral projection (nuclear ball) and the shifted clamp
     projection (box + sum), with the linear objective absorbed into the
@@ -246,18 +246,15 @@ def solve_convex(
     """
     check_max_iter(max_iter)
     a = np.asarray(M, dtype=float)
+    if not np.array_equal(a, a.T):
+        raise ValueError("M must be symmetric")
     certifiable = float(sum_target).is_integer() and bool(np.all(a == np.round(a)))
     step = _value_step(a)
     Z = project_box_sum(a, sum_target)
-    Z = (Z + Z.T) / 2.0
-    W = Z
-    change = math.inf
     gap = math.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         Y = project_nuclear_ball(Z, nuclear_radius)
         W = project_box_sum(2.0 * Y - Z + a, sum_target)
-        W = (W + W.T) / 2.0
         diff = W - Y
         change = float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(W)))
         if certifiable:
@@ -324,7 +321,8 @@ def recover_convex(
     tightest nuclear ball that still contains them all.
     """
     sum_target = float(sum(s * s for s in config.sizes))
-    objective_matrix = config_matrix(A, config) + np.eye(config.n)
+    objective_matrix = config_matrix(A, config).astype(float)
+    np.fill_diagonal(objective_matrix, 1.0)  # A + I, A's diagonal being zero
     result = solve_convex(objective_matrix, float(config.n_covered), sum_target,
                           max_iter)
     if not result.converged:

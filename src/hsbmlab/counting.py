@@ -68,13 +68,12 @@ def recover_counting(A: Adjacency, config: ModelConfig) -> Recovery:
     # float64 holds 0/1 sums and common-neighbor counts (< 2^53) exactly,
     # and keeps the matrix product on the fast dense path.
     m = config_matrix(A, config).astype(np.float64)
-    n = m.shape[0]
     clustered = m.sum(axis=1) >= isolated_threshold(config)
     # Neither n x n float array outlives the link matrix, so that reading
     # the components does not hold them too.
     link = (m @ m > pair_threshold(config)) & clustered[:, None] & clustered[None, :]
     del m
-    link &= ~np.eye(n, dtype=bool)
+    np.fill_diagonal(link, False)
 
     labels, flaw = clique_components(link, keep=clustered)
     if flaw is not None:

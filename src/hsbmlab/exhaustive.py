@@ -306,7 +306,7 @@ def local_search(
     best_val = -1
     total_swaps = 0
     for _ in range(restarts):
-        labels = template[rng.permutation(n)].copy()
+        labels = template[rng.permutation(n)]
         labels, swaps = _hill_climb(m, labels, config.r)
         total_swaps += swaps
         val = objective(A, Partition(labels))

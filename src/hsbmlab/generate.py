@@ -141,7 +141,6 @@ class ObservedMatrix:
         if unobserved_as not in (0, 1):
             raise ValueError("unobserved_as must be 0 or 1")
         m = np.where(self.values == UNOBSERVED, unobserved_as, self.values)
-        np.fill_diagonal(m, 0)
         return Adjacency(m.astype(np.int8))
 
 

@@ -42,8 +42,8 @@ WILSON_Z = 1.959963984540054
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One Monte Carlo experiment: a configuration, the algorithms to run
-    on it, and the trial/seed/options bookkeeping.  max_iter applies to
-    convex only, restarts to local search only."""
+    on it, each named once, and the trial/seed/options bookkeeping.
+    max_iter applies to convex only, restarts to local search only."""
 
     config: ModelConfig
     algorithms: tuple[str, ...]
@@ -61,6 +61,9 @@ class ExperimentSpec:
             raise ConfigError(f"unknown algorithms {bad}; known: {list(ALGORITHMS)}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ConfigError(f"repeated algorithms {repeated}; give each once")
         if "convex" in self.algorithms:
             check_max_iter(self.max_iter)
         if "exhaustive" in self.algorithms:
@@ -73,7 +76,8 @@ def recover(algorithm: str, graph, config: ModelConfig,
             max_iter: int = MAX_ITER, seed: int = 0, restarts: int = 10) -> Recovery:
     """Run one algorithm on an Adjacency or ObservedMatrix.
 
-    Partial observation: an ObservedMatrix is collapsed with unobserved
+    Partial observation: this is the one place a partial graph is
+    collapsed.  An ObservedMatrix becomes an Adjacency with unobserved
     pairs mapped to 0, and a configuration with gamma < 1 is replaced by its
     gamma-collapsed form.  An ObservedMatrix with unobserved pairs under a
     gamma = 1 configuration is refused, since that model would read them as
@@ -126,14 +130,13 @@ class ResultRow:
 
 def run_trial(spec: ExperimentSpec, algorithm: str, trial: int) -> ResultRow:
     """Run one algorithm on one seeded draw, timing only the recovery.
-    With gamma < 1 the graph is partially observed (see recover)."""
+    With gamma < 1 the draw is an ObservedMatrix, handed as it is to
+    recover, the one place a partial graph is collapsed."""
     config = spec.config
     seed = spec.base_seed + trial
     planted = config.planted_partition()
-    if config.gamma < 1.0:
-        graph = sample_observed(config, planted, seed).to_adjacency(unobserved_as=0)
-    else:
-        graph = sample_adjacency(config, planted, seed)
+    sample = sample_observed if config.gamma < 1.0 else sample_adjacency
+    graph = sample(config, planted, seed)
 
     start = time.perf_counter()
     rec = recover(algorithm, graph, config, spec.max_iter, seed, spec.restarts)

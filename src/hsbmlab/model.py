@@ -23,8 +23,11 @@ class ConfigError(ValueError):
     """Raised for structurally invalid model configurations."""
 
 
-# What each Python type of a JSON field is called in a message.
-JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string",
+# Integers and numbers: JSON's, and numpy's for library callers.
+INTEGER = (int, np.integer)
+NUMBER = (int, float, np.integer, np.floating)
+# What each kind of value is called in a message.
+JSON_KINDS = {INTEGER: "an integer", NUMBER: "a number", str: "a string",
               dict: "an object", list: "a list"}
 
 
@@ -34,6 +37,13 @@ def json_value(value, kind, what: str):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{what} must be {JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def check_keys(raw: dict, known, what: str) -> None:
+    """Refuse a key of raw outside known, naming it and the known keys."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; known: {sorted(known)}")
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -57,6 +67,9 @@ def _expand(per_run: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+CONFIG_KEYS = ("n", "clusters", "q", "gamma")
+
+
 class ModelConfig:
     """Immutable description of a heterogeneous planted-partition model.
 
@@ -66,6 +79,10 @@ class ModelConfig:
     clusters : sequence of (size, p) pairs.
     q : ambient edge probability, must satisfy q < min_k p_k.
     gamma : observation rate in (0, 1].
+
+    n and the sizes must be integers and the probabilities, q and gamma
+    numbers, Python's or numpy's; a bool, a string or a float n is a
+    ConfigError rather than truncated or parsed.
 
     Clusters are held as runs: parallel read-only arrays of sizes,
     probabilities and counts (``runs``), with consecutive clusters of equal
@@ -87,11 +104,8 @@ class ModelConfig:
         raw_sizes = []
         raw_probs = []
         for c in clusters:
-            size, p = c[0], c[1]
-            if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
-                raise ConfigError(f"cluster size must be an integer, got {size!r}")
-            raw_sizes.append(int(size))
-            raw_probs.append(float(p))
+            raw_sizes.append(int(json_value(c[0], INTEGER, "cluster size")))
+            raw_probs.append(float(json_value(c[1], NUMBER, "cluster probability")))
         self._init_from_runs(n, raw_sizes, raw_probs, [1] * len(raw_sizes), q, gamma)
 
     @classmethod
@@ -107,6 +121,8 @@ class ModelConfig:
     def _init_from_runs(self, n, sizes, probs, counts, q, gamma) -> None:
         sizes = _integers(sizes, "sizes")
         counts = _integers(counts, "counts")
+        if np.asarray(probs).dtype.kind not in "iuf":
+            raise ConfigError("cluster probabilities must be numbers")
         probs = np.asarray(probs, dtype=np.float64)
         if not (sizes.ndim == 1 and sizes.shape == probs.shape == counts.shape):
             raise ConfigError("cluster sizes and probabilities must be parallel 1-D")
@@ -122,9 +138,9 @@ class ModelConfig:
             counts = np.add.reduceat(counts, starts)
         for arr in (sizes, probs, counts):
             arr.flags.writeable = False
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "q", float(q))
-        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "n", int(json_value(n, INTEGER, "n")))
+        object.__setattr__(self, "q", float(json_value(q, NUMBER, "q")))
+        object.__setattr__(self, "gamma", float(json_value(gamma, NUMBER, "gamma")))
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_counts", counts)
@@ -247,17 +263,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Config from its JSON form, which takes JSON numbers (not bools
-        or strings): an integer n and cluster sizes, and numbers q, gamma
-        and cluster probabilities."""
-        number = (int, float)
+        """Config from its JSON form: an object with the keys n, clusters,
+        q and, optionally, gamma, and no other (see ``__init__`` for the
+        types it takes)."""
         try:
-            for c in d["clusters"]:
-                json_value(c[1], number, "cluster probability")
-            return cls(n=json_value(d["n"], int, "n"),
-                       clusters=d["clusters"],
-                       q=json_value(d["q"], number, "q"),
-                       gamma=json_value(d.get("gamma", 1.0), number, "gamma"))
+            check_keys(d, CONFIG_KEYS, "config")
+            return cls(n=d["n"], clusters=d["clusters"], q=d["q"],
+                       gamma=d.get("gamma", 1.0))
         except (KeyError, TypeError, IndexError) as exc:
             raise ConfigError(f"malformed config dict: {exc}") from exc
 

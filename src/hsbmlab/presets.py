@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .model import ConfigError, ModelConfig, json_value
+from .model import INTEGER, NUMBER, ConfigError, ModelConfig, json_value
 
 EXAMPLE_IDS = (1, 2, 3, 4, 5, 6)
 
@@ -63,7 +63,7 @@ def _take(constants: dict, defaults: dict, example_id: int) -> dict:
             f"known: {sorted(defaults)}"
         )
     for name, value in constants.items():
-        json_value(value, (int, float), f"example {example_id} constant {name!r}")
+        json_value(value, NUMBER, f"example {example_id} constant {name!r}")
     merged = dict(defaults)
     merged.update(constants)
     missing = [k for k, v in merged.items() if v is None]
@@ -234,9 +234,10 @@ def example_config(example_id: int, n: int, constants: dict | None = None) -> Mo
     schematic and requires all of them (see example6_reference_constants for
     a ready-made choice).  Raises ConfigError when the requested n cannot
     realize the template (probabilities outside [0, 1], empty clusters,
-    ambient rate not below every cluster's rate).
+    ambient rate not below every cluster's rate), and when n is not an
+    integer (a float or a bool is refused, not truncated).
     """
     check_example_id(example_id)
-    if n < 2:
+    if json_value(n, INTEGER, "n") < 2:
         raise ConfigError(f"n must be >= 2, got {n}")
     return _BUILDERS[example_id](int(n), dict(constants or {}))

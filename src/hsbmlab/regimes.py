@@ -99,9 +99,6 @@ class ConditionReport:
         return cls(condition_id, math.nan, math.nan, math.nan, math.nan,
                    satisfied=False, applicable=False, note=note)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RegimeCheck:

@@ -206,6 +206,16 @@ class TestClassify:
         assert captured.out == ""
 
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(dict(SMALL, gama=0.5)))
+        assert main(["classify", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: unknown config keys ['gama']; known: "
+                                "['clusters', 'gamma', 'n', 'q']\n")
+        assert captured.out == ""
+
+
 class TestRecover:
     def test_convex_success_prints_labels(self, small_config, small_graph, capsys):
         assert main(["recover", "--config", small_config,
@@ -594,6 +604,38 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--spec", spec_file, "--workers", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: workers must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_repeated_algorithm_exits_2(self, tmp_path, capsys):
+        # Each trial would otherwise run twice: "trials": 4 for a 2-trial spec.
+        path = tmp_path / "repeated_spec.json"
+        path.write_text(json.dumps({"config": SMALL, "trials": 2,
+                                    "algorithms": ["counting", "counting"]}))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: repeated algorithms ['counting']; "
+                                "give each once\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("spec, reason", [
+        ({"config": SMALL, "trails": 3},
+         "unknown spec keys ['trails']; known: ['algorithms', 'base_seed', "
+         "'config', 'config_id', 'example', 'restarts', 'solver', 'trials']"),
+        ({"example": {"id": 1, "n": 30, "constant": {}}, "trials": 1},
+         "unknown example keys ['constant']; known: ['constants', 'id', 'n']"),
+        ({"config": dict(SMALL, gama=0.5), "trials": 1},
+         "unknown config keys ['gama']; known: ['clusters', 'gamma', 'n', 'q']"),
+        ({"config": SMALL, "example": {"id": 1, "n": 30}, "trials": 1},
+         "spec file needs exactly one of a 'config' or 'example' entry"),
+    ], ids=["spec-key", "example-key", "config-key", "config-and-example"])
+    def test_unknown_spec_key_exits_2(self, tmp_path, capsys, spec, reason):
+        # Once ignored: "trails" ran the default 10 trials, "gama" ran at
+        # gamma = 1, and example won over config.
+        path = tmp_path / "keys_spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n"
         assert captured.out == ""
 
     def test_spec_without_config_exits_2(self, tmp_path, capsys):

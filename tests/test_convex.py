@@ -320,6 +320,37 @@ class TestSolverOptions:
 
 
 class TestSolveConvex:
+    def test_asymmetric_matrix_refused(self):
+        # The iterates stay exactly symmetric only because M is; one unit
+        # in the last place off is refused, not symmetrized.
+        M = np.eye(4)
+        M[0, 1] = np.nextafter(0.0, 1.0)
+        with pytest.raises(ValueError, match="M must be symmetric"):
+            solve_convex(M, 4.0, 8.0)
+
+    def test_every_projection_input_exactly_symmetric(self):
+        # With the symmetrizing passes gone, both projections must still
+        # see exactly symmetric matrices on real draws, full and partial.
+        cfg = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05, gamma=0.6)
+        inputs = []
+
+        def spying(project):
+            def spy(X, bound):
+                inputs.append(X)
+                return project(X, bound)
+            return spy
+
+        with mock.patch.object(convex, "project_box_sum",
+                               spying(convex.project_box_sum)), \
+                mock.patch.object(convex, "project_nuclear_ball",
+                                  spying(convex.project_nuclear_ball)):
+            planted = cfg.planted_partition()
+            for graph in (sample_adjacency(cfg, planted, 0),
+                          sample_observed(cfg, planted, 3).to_adjacency(0)):
+                recover_convex(graph, cfg.collapsed(), max_iter=20)
+        assert len(inputs) > 20
+        assert all(np.array_equal(X, X.T) for X in inputs)
+
     def test_zero_matrix(self):
         res = solve_convex(np.zeros((4, 4)), 4.0, 0.0)
         assert res.converged

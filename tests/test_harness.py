@@ -17,6 +17,7 @@ from hsbmlab import (
     ConfigError,
     ExperimentSpec,
     ModelConfig,
+    ObservedMatrix,
     UNOBSERVED,
     classify,
     example_config,
@@ -69,6 +70,11 @@ class TestExperimentSpec:
     def test_empty_algorithms_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
             ExperimentSpec(SMALL, (), trials=1)
+
+    def test_repeated_algorithm_rejected(self):
+        # Each trial would run twice and the summary count it twice.
+        with pytest.raises(ConfigError, match=r"repeated algorithms \['counting'\]"):
+            ExperimentSpec(SMALL, ("counting", "convex", "counting"), trials=2)
 
     def test_exhaustive_blocked_above_size_limit(self):
         big = ModelConfig(16, [(8, 0.9), (8, 0.9)], 0.05)
@@ -175,6 +181,22 @@ class TestRunTrial:
         assert row.success == (rec.failure_kind == "none"
                                and partitions_equal(rec.partition, planted))
         assert row.objective == rec.solver.objective
+
+    def test_partial_draw_reaches_recover_uncollapsed(self, monkeypatch):
+        # recover is the one place a partial graph is collapsed: run_trial
+        # hands it the observed draw itself, inside the timed region.
+        config = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05, gamma=0.6)
+        seen = []
+
+        def spy(algorithm, graph, *args):
+            seen.append(graph)
+            return recover(algorithm, graph, *args)
+
+        monkeypatch.setattr(harness, "recover", spy)
+        run_trial(ExperimentSpec(config, ("counting",), trials=1), "counting", 0)
+        drawn = sample_observed(config, config.planted_partition(), 0)
+        assert len(seen) == 1 and isinstance(seen[0], ObservedMatrix)
+        assert np.array_equal(seen[0].values, drawn.values)
 
     def test_unknown_algorithm_at_run_time(self):
         spec = ExperimentSpec(SMALL, ("convex",), trials=1)

@@ -95,6 +95,41 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=r"probabilities must be in \[0, 1\]"):
             ModelConfig(10, [(5, float("nan")), (5, 0.9)], 0.05)
 
+    @pytest.mark.parametrize("args, reason", [
+        ((10.7, [(5, 0.9)], 0.05), "n must be an integer, got 10.7"),
+        (("12", [(5, 0.9)], 0.05), "n must be an integer, got '12'"),
+        ((True, [(1, 0.9)], 0.05), "n must be an integer, got True"),
+        ((10, [(5, "0.9")], 0.05), "cluster probability must be a number, got '0.9'"),
+        ((10, [(5, True)], 0.05), "cluster probability must be a number, got True"),
+        ((10, [(5, 0.9)], "0.05"), "q must be a number, got '0.05'"),
+        ((10, [(5, 0.9)], 0.05, True), "gamma must be a number, got True"),
+        ((10, [(5, 0.9)], 0.05, "0.5"), "gamma must be a number, got '0.5'"),
+    ], ids=["float-n", "string-n", "bool-n", "string-p", "bool-p", "string-q",
+            "bool-gamma", "string-gamma"])
+    def test_rejects_wrong_numeric_types(self, args, reason):
+        # Refused with from_dict's messages, not truncated or parsed.
+        with pytest.raises(ConfigError) as info:
+            ModelConfig(*args)
+        assert str(info.value) == reason
+
+    def test_numpy_scalars_accepted(self):
+        cfg = ModelConfig(np.int64(10), [(np.int32(5), np.float32(0.5))],
+                          np.float64(0.05), np.float64(0.5))
+        assert cfg == ModelConfig(10, [(5, float(np.float32(0.5)))], 0.05, 0.5)
+        assert type(cfg.n) is int and type(cfg.q) is float
+
+    def test_from_runs_rejects_non_numeric_probabilities(self):
+        for probs in (["0.9"], [True]):
+            with pytest.raises(ConfigError, match="probabilities must be numbers"):
+                ModelConfig.from_runs(12, [5], probs, [1], 0.05)
+
+    def test_from_dict_rejects_unknown_key(self):
+        d = {"n": 10, "q": 0.05, "gama": 0.5, "clusters": [[5, 0.9]]}
+        with pytest.raises(ConfigError) as info:
+            ModelConfig.from_dict(d)
+        assert str(info.value) == ("unknown config keys ['gama']; known: "
+                                   "['clusters', 'gamma', 'n', 'q']")
+
     def test_immutable(self):
         cfg = ModelConfig(10, [(5, 0.9)], 0.05)
         with pytest.raises(AttributeError):

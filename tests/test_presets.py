@@ -200,6 +200,16 @@ class TestCommon:
         with pytest.raises(ConfigError):
             example_config(2, 1)
 
+    @pytest.mark.parametrize("n", [10.5, 1e4, True, "100"])
+    def test_non_integer_n_rejected(self, n):
+        # Refused rather than truncated: 10.5 once built n = 10.
+        with pytest.raises(ConfigError) as info:
+            example_config(1, n)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    def test_numpy_integer_n_accepted(self):
+        assert example_config(2, np.int64(10**6)) == example_config(2, 10**6)
+
     def test_unknown_constant_rejected(self):
         with pytest.raises(ConfigError, match="unknown constants"):
             example_config(2, 10**6, {"bogus": 1.0})
