@@ -65,13 +65,16 @@ def recover_counting(A: Adjacency, config: ModelConfig) -> Recovery:
     "size_mismatch: ", with a NaN objective.  On success the objective is
     the partition's within-cluster edge mass.
     """
-    # float64 holds 0/1 sums and common-neighbor counts (< 2^53) exactly,
-    # and keeps the matrix product on the fast dense path.
-    m = config_matrix(A, config).astype(np.float64)
-    clustered = m.sum(axis=1) >= isolated_threshold(config)
+    # float32, at half float64's cost, is exact on the integers below 2^24
+    # that every degree, count and partial sum is (n x n float32 at 2^24
+    # fills 1 PiB).  It would compare a Python float in float32, so the
+    # thresholds become integer cutoffs: c > t iff c > floor(t), and
+    # c >= t iff c >= ceil(t).
+    m = config_matrix(A, config).astype(np.float32)
+    clustered = m.sum(axis=1) >= math.ceil(isolated_threshold(config))
     # Neither n x n float array outlives the link matrix, so that reading
     # the components does not hold them too.
-    link = (m @ m > pair_threshold(config)) & clustered[:, None] & clustered[None, :]
+    link = (m @ m > math.floor(pair_threshold(config))) & clustered[:, None] & clustered
     del m
     np.fill_diagonal(link, False)
 

@@ -15,17 +15,18 @@ second's, and so on.
 
 The scan reads every score from one table: the within-set mass of each of
 the 2^n node subsets, indexed by bitmask.  It places the clusters level by
-level, each partition a row of per-cluster bitmasks, expanding a bounded
-chunk of rows at a time in canonical order, and scores a row as the sum of
-its clusters' table entries.  The local search keeps each node's mass into
-each label group, from which the gain of every candidate swap of a step is
-one symmetric matrix.  Both methods take the observed graph as a 0/1
-``Adjacency``: the table sums in int64, and the search climbs in int16,
-or in int32 when int16 cannot hold the gain bound 2 (max degree + 1),
-which only a max degree above 16,382 needs.  Both scores are exact, so
-the winners are those of a one-partition-at-a-time, one-pair-at-a-time
-scan: the first maximum in canonical order, and the first maximal swap in
-row-major order, taken only when it improves the mass.
+level, partial partitions as rows of per-cluster bitmasks, a bounded chunk
+of rows at a time in canonical order, and scores a completion as its
+parent row's table sum plus the last cluster's entry.  The local search
+keeps each node's mass into each label group, which gives each step's
+swap gains as one symmetric matrix and the climb's final mass.  Both
+methods take the observed graph as a 0/1 ``Adjacency``: the table sums in
+int64, and the search climbs in int16, or in int32 when int16 cannot hold
+the gain bound 2 (max degree + 1), which only a max degree above 16,382
+needs.  Both scores are exact, so the winners are those of a
+one-partition-at-a-time, one-pair-at-a-time scan: the first maximum in
+canonical order, and the first maximal swap in row-major order, taken only
+when it improves the mass.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def _choices(left: int, size: int) -> np.ndarray:
 
 
 def _canonical_rows(config: ModelConfig):
-    """Return an iterator over arrays that together hold every canonical
-    partition once, in canonical order: one row per partition, column k the
-    bitmask (bit i for node i) of cluster k + 1's members.
+    """Return an iterator over (parents, masks, keep) batches holding every
+    canonical partition once, in canonical order (row-major in parent i,
+    completion c within a batch): column k of a parent row is the bitmask
+    (bit i for node i) of cluster k + 1's members, masks[i, c] the last
+    cluster's, and keep False where canonical order skips the completion.
+    The first batch keeps its first completion.
 
     Level k places cluster k + 1 on each row's free nodes, every member set
     in lexicographic order, skipping a set whose smallest member does not
@@ -111,31 +115,33 @@ def _canonical_rows(config: ModelConfig):
     # Column of the nearest earlier cluster of each level's size, or None.
     twin = [max((j for j in range(k) if sizes[j] == s), default=None)
             for k, s in enumerate(sizes)]
+    return _expand(np.zeros((1, 0), dtype=np.int64), bit, choices, twin)
 
-    def expand(rows: np.ndarray, level: int):
-        if level == len(sizes):
-            yield rows
-            return
-        pos = choices[level]
-        j = twin[level]
-        step = max(1, _BATCH_ROWS // len(pos))
-        for start in range(0, len(rows), step):
-            chunk = rows[start:start + step]
-            used = np.bitwise_or.reduce(chunk, axis=1)
-            free = bit[np.nonzero(bit & ~used[:, None])[1]].reshape(len(chunk), -1)
-            first = free[:, pos[:, 0]]
-            mask = first.copy()
-            for column in pos.T[1:]:
-                mask += free[:, column]
-            child = np.concatenate([np.repeat(chunk, len(pos), axis=0),
-                                    mask.reshape(-1, 1)], axis=1)
-            if j is not None:
-                prev = chunk[:, j:j + 1]
-                child = child[(first > prev & -prev).ravel()]
-            if len(child):
-                yield from expand(child, level + 1)
 
-    return expand(np.zeros((1, 0), dtype=np.int64), 0)
+def _expand(rows: np.ndarray, bit: np.ndarray, choices: list, twin: list):
+    """The batches of ``_canonical_rows`` below rows placing its first
+    clusters.  Module-level: a nested function calling itself is a cycle."""
+    level = rows.shape[1]
+    pos = choices[level]
+    j = twin[level]
+    step = max(1, _BATCH_ROWS // len(pos))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        used = np.bitwise_or.reduce(chunk, axis=1)
+        free = bit[np.nonzero(bit & ~used[:, None])[1]].reshape(len(chunk), -1)
+        first = free[:, pos[:, 0]]
+        mask = first.copy()
+        for column in pos.T[1:]:
+            mask += free[:, column]
+        # Bit of the twin's smallest member, or 0, which every set exceeds.
+        low = 0 if j is None else chunk[:, j:j + 1] & -chunk[:, j:j + 1]
+        keep = first > low
+        if level + 1 == len(choices):
+            yield chunk, mask, keep
+            continue
+        child = np.concatenate([np.repeat(chunk, len(pos), axis=0),
+                                mask.reshape(-1, 1)], axis=1)
+        yield from _expand(child[keep.ravel()], bit, choices, twin)
 
 
 def _labels(rows: np.ndarray, n: int) -> np.ndarray:
@@ -194,8 +200,9 @@ def solve_exhaustive(
     """Scan all admissible partitions for the maximal within-cluster edge
     mass.
 
-    Each batch of the canonical enumeration is scored at once, every row as
-    the sum of its clusters' entries in the subset-mass table.
+    Each batch of the canonical enumeration is scored at once from the
+    subset-mass table: a completion's score is its parent's entries summed
+    once, plus its own entry.
     Deterministic: the returned partition is the first maximizer in
     canonical order.
     """
@@ -206,16 +213,19 @@ def solve_exhaustive(
     best_row = None
     tie_count = 0
     examined = 0
-    for rows in batches:
-        examined += len(rows)
-        scores = mass[rows].sum(axis=1)
+    for parents, masks, keep in batches:
+        # A skipped completion scores -1, below every mass: never a
+        # maximizer, nor a tie once the first batch has set best_val.
+        scores = np.where(keep, mass[masks] + mass[parents].sum(axis=1)[:, None], -1)
+        examined += int(np.count_nonzero(keep))
         top = int(scores.max())
         if top > best_val:
-            best_val, best_row, tie_count = top, rows[[np.argmax(scores)]], 0
+            i, c = divmod(int(np.argmax(scores)), scores.shape[1])
+            best_val, best_row, tie_count = top, np.append(parents[i], masks[i, c]), 0
         if top == best_val:
             tie_count += int(np.count_nonzero(scores == top))
     return ExhaustiveResult(
-        partition=Partition(_labels(best_row, config.n)[0]),
+        partition=Partition(_labels(best_row[None], config.n)[0]),
         objective=int(best_val),
         tie_count=tie_count,
         partitions_examined=examined,
@@ -237,10 +247,11 @@ def _climb_matrix(m: np.ndarray) -> np.ndarray:
     return m.astype(np.int16 if bound <= np.iinfo(np.int16).max else np.int32)
 
 
-def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, int]:
+def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, int, int]:
     """Best-improvement label-swap ascent on the within-cluster edge mass,
     in the integer dtype of m: int16 or int32, as ``_climb_matrix`` chose
-    for the 0/1 adjacency.
+    for the 0/1 adjacency.  Returns the final labels, their mass (their
+    ``objective``, read off D) and the number of swaps.
 
     D[x, g] caches node x's adjacency mass into label group g.  With
     R[x, g] = [g > 0] D[x, g] - [x clustered] D[x, label x] and
@@ -277,7 +288,7 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
         gain = HT + HT.T
         u, v = divmod(int(np.argmax(gain)), n)
         if not gain[u, v] > 0:
-            return labels, swaps
+            return labels, int(own.sum()), swaps
         a, b = labels[u], labels[v]
         labels[u], labels[v] = b, a
         DT[a] += m[v] - m[u]
@@ -295,8 +306,8 @@ def local_search(
     restarts: int = 10,
 ) -> LocalSearchResult:
     """Randomly seeded best-improvement swap search; keeps the best local
-    optimum over the given number of restarts, each scored with
-    ``objective``.  Deterministic under seed."""
+    optimum over the given number of restarts, each scored by the mass its
+    climb ends on.  Deterministic under seed."""
     check_restarts(restarts)
     m = _climb_matrix(config_matrix(A, config))
     n = m.shape[0]
@@ -307,9 +318,8 @@ def local_search(
     total_swaps = 0
     for _ in range(restarts):
         labels = template[rng.permutation(n)]
-        labels, swaps = _hill_climb(m, labels, config.r)
+        labels, val, swaps = _hill_climb(m, labels, config.r)
         total_swaps += swaps
-        val = objective(A, Partition(labels))
         if val > best_val:
             best_val = val
             best_labels = labels

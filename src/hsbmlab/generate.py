@@ -16,6 +16,7 @@ matrix returned by ``sample_adjacency(cfg, part, s)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +42,19 @@ def _upper_triangle_uniforms(n: int, seed: int, stream: int) -> np.ndarray:
     return stream_rng(seed, stream).random(n * (n - 1) // 2)
 
 
-def _pair_probabilities(config: ModelConfig, partition: Partition) -> np.ndarray:
-    """Upper-triangle vector of edge probabilities (p_k within cluster k, q
-    elsewhere), without the observation rate."""
-    labels = partition.labels
-    p_of_label = np.full(max(int(labels.max()) if labels.size else 0, config.r) + 1,
-                         config.q)
-    p_of_label[1 : config.r + 1] = config.probs
-    iu = np.triu_indices(config.n, k=1)
-    li, lj = labels[iu[0]], labels[iu[1]]
-    probs = np.where((li == lj) & (li != 0), p_of_label[li], config.q)
-    return probs
+def _pair_probabilities(config: ModelConfig,
+                        partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n mask of the pairs i < j, whose True entries in row-major
+    order are the pairs in pair-index order, and the pairs' edge
+    probabilities (p_k within cluster k, q elsewhere, without the
+    observation rate), read from the table of label pairs at the mask."""
+    _check_partition(config, partition)  # every label is at most r
+    nodes = np.arange(config.n)
+    upper = nodes[:, None] < nodes
+    table = np.full((config.r + 1, config.r + 1), config.q)
+    clusters = np.arange(1, config.r + 1)
+    table[clusters, clusters] = config.probs
+    return upper, table[partition.labels][:, partition.labels][upper]
 
 
 def _check_partition(config: ModelConfig, partition: Partition) -> None:
@@ -69,10 +72,10 @@ def _check_partition(config: ModelConfig, partition: Partition) -> None:
         raise ConfigError("partition uses labels beyond the config's clusters")
 
 
-def _symmetrize_from_upper(n: int, upper: np.ndarray, dtype=np.int8) -> np.ndarray:
-    m = np.zeros((n, n), dtype=dtype)
-    iu = np.triu_indices(n, k=1)
-    m[iu] = upper
+def _symmetrize_from_upper(upper: np.ndarray, values: np.ndarray,
+                           dtype=np.int8) -> np.ndarray:
+    m = np.zeros(upper.shape, dtype=dtype)
+    m[upper] = values
     m += m.T
     return m
 
@@ -80,14 +83,14 @@ def _symmetrize_from_upper(n: int, upper: np.ndarray, dtype=np.int8) -> np.ndarr
 def _check_graph_matrix(m: np.ndarray, name: str, allowed: tuple[int, ...],
                         entries_message: str) -> None:
     """Refuse a matrix that is not square, symmetric and zero on the
-    diagonal with entries in `allowed`."""
+    diagonal with entries in `allowed` (NaN equals none)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         raise ValueError(f"{name} must be symmetric")
     if np.any(np.diag(m) != 0):
         raise ValueError(f"{name} must have zero diagonal")
-    if not np.isin(m, allowed).all():
+    if not functools.reduce(np.logical_or, [m == value for value in allowed]).all():
         raise ValueError(entries_message)
 
 
@@ -140,37 +143,39 @@ class ObservedMatrix:
         """Collapse to a 0/1 adjacency, mapping unobserved pairs to 0 or 1."""
         if unobserved_as not in (0, 1):
             raise ValueError("unobserved_as must be 0 or 1")
-        m = np.where(self.values == UNOBSERVED, unobserved_as, self.values)
-        return Adjacency(m.astype(np.int8))
+        # One comparison, viewed as int8: a 1, or also a -1 if unobserved as 1.
+        edges = self.values != 0 if unobserved_as else self.values == 1
+        return Adjacency(edges.view(np.int8))
 
 
-def _sample_edges(config: ModelConfig, partition: Partition, seed: int) -> np.ndarray:
-    """Upper-triangle 0/1 edge indicators drawn from stream 0."""
-    _check_partition(config, partition)
+def _sample_edges(config: ModelConfig, partition: Partition,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair mask and the pairs' int8 0/1 edge indicators, drawn from
+    stream 0 after the n x n probability matrix is freed."""
+    upper, probs = _pair_probabilities(config, partition)
     u = _upper_triangle_uniforms(config.n, seed, STREAM_EDGES)
-    return (u < _pair_probabilities(config, partition)).astype(np.int8)
+    return upper, (u < probs).view(np.int8)
 
 
 def sample_adjacency(config: ModelConfig, partition: Partition, seed: int) -> Adjacency:
     """Draw one fully observed adjacency matrix (the observation rate is
     ignored here; see sample_observed)."""
-    edges = _sample_edges(config, partition, seed)
-    return Adjacency(_symmetrize_from_upper(config.n, edges))
+    upper, edges = _sample_edges(config, partition, seed)
+    return Adjacency(_symmetrize_from_upper(upper, edges))
 
 
 def sample_observed(config: ModelConfig, partition: Partition, seed: int) -> ObservedMatrix:
     """Draw the (adjacency, mask) coupled pair: stream 0 decides edges exactly
     as sample_adjacency does, stream 1 reveals each pair with probability
     gamma (every pair at gamma = 1, since each uniform is below 1)."""
-    edges = _sample_edges(config, partition, seed)
+    upper, edges = _sample_edges(config, partition, seed)
     observed = _upper_triangle_uniforms(config.n, seed, STREAM_OBSERVATION) < config.gamma
-    upper = np.where(observed, edges, np.int8(UNOBSERVED))
-    return ObservedMatrix(_symmetrize_from_upper(config.n, upper))
+    values = np.where(observed, edges, np.int8(UNOBSERVED))
+    return ObservedMatrix(_symmetrize_from_upper(upper, values))
 
 
 def expected_adjacency(config: ModelConfig, partition: Partition) -> np.ndarray:
     """Mean of the collapsed (unobserved -> 0) matrix: gamma*p_k within
     cluster k, gamma*q elsewhere, zero diagonal."""
-    _check_partition(config, partition)
-    probs = config.gamma * _pair_probabilities(config, partition)
-    return _symmetrize_from_upper(config.n, probs, dtype=float)
+    upper, probs = _pair_probabilities(config, partition)
+    return _symmetrize_from_upper(upper, config.gamma * probs, dtype=float)

@@ -17,7 +17,8 @@ from hsbmlab import (
     recover_counting,
     sample_adjacency,
 )
-from hsbmlab.model import cross_pair_peak
+from hsbmlab import counting
+from hsbmlab.model import clique_components, cross_pair_peak
 
 REL = 1e-12
 
@@ -138,6 +139,37 @@ class TestRecovery:
         rec = recover_counting(Adjacency(A), cfg)
         assert rec.partition is None
         assert rec.detail.startswith("size_mismatch: ")
+
+    @pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
+    def test_cutoffs_next_to_a_count_match_float64(self, monkeypatch, offset):
+        """Thresholds 1e-9 from an actual degree and an actual
+        common-neighbor count, where float32 would round them onto the
+        count: the degree test and the link set equal the float64 ones."""
+        cfg = ModelConfig(60, [(20, 0.7), (20, 0.7)], 0.1)
+        A = sample_adjacency(cfg, cfg.planted_partition(), seed=3)
+        m = A.matrix.astype(np.float64)
+        degrees = m.sum(axis=1)
+        counts = m @ m
+        # The lowest degree, and the count of two cluster-1 nodes above it,
+        # which every offset keeps clustered.
+        degree = float(degrees.min())
+        a, b = np.flatnonzero(degrees[:20] > degree)[:2]
+        count = float(counts[a, b])
+        monkeypatch.setattr(counting, "isolated_threshold", lambda config: degree + offset)
+        monkeypatch.setattr(counting, "pair_threshold", lambda config: count + offset)
+        seen = {}
+
+        def components(link, keep):
+            seen["link"], seen["keep"] = link.copy(), keep.copy()
+            return clique_components(link, keep=keep)
+
+        monkeypatch.setattr(counting, "clique_components", components)
+        recover_counting(A, cfg)
+        clustered = degrees >= degree + offset
+        link = (counts > count + offset) & clustered[:, None] & clustered[None, :]
+        np.fill_diagonal(link, False)
+        assert np.array_equal(seen["keep"], clustered)
+        assert np.array_equal(seen["link"], link)
 
     def test_far_outside_regime_always_fails(self):
         cfg = ModelConfig(400, [(200, 0.06), (200, 0.06)], 0.05)

@@ -1,8 +1,10 @@
 """Exhaustive combinatorial recovery, likelihood, and local search."""
 
+import gc
 import hashlib
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,8 +113,10 @@ def enumerate_partitions(config):
     """Every admissible partition once, in canonical order: the scan's
     enumeration, guarded to n <= MAX_EXHAUSTIVE_N, expanded one partition
     at a time."""
-    for rows in _canonical_rows(config):
-        for labels in _labels(rows, config.n):
+    for parents, masks, keep in _canonical_rows(config):
+        rows = np.concatenate([np.repeat(parents, masks.shape[1], axis=0),
+                               masks.reshape(-1, 1)], axis=1)
+        for labels in _labels(rows[keep.ravel()], config.n):
             yield Partition(labels)
 
 
@@ -509,6 +513,19 @@ class TestSolveExhaustive:
         with pytest.raises(ConfigError):
             solve_exhaustive(Adjacency(np.zeros((4, 4))), self.CFG)
 
+    def test_scan_leaves_no_cyclic_garbage(self):
+        """A scan frees its arrays when it returns, not when the cyclic
+        collector next runs: it leaves no reference cycle behind."""
+        A = sample_adjacency(SCAN14, SCAN14.planted_partition(), seed=0)
+        solve_exhaustive(A, SCAN14)  # fills the member-set cache
+        gc.collect()
+        gc.disable()
+        try:
+            solve_exhaustive(A, SCAN14)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestLocalSearch:
     def test_noiseless_planted_recovery(self):
@@ -625,13 +642,16 @@ class TestAgainstOracles:
     @staticmethod
     def climb(m, climbed, config, rng):
         """The integer climb on `climbed`, m cast for it, and the float
-        oracle on m, from two random starts."""
+        oracle on m, from two random starts.  The mass the climb returns is
+        ``objective`` of its labels on m (read through the matrix alone, so
+        that weights stand in for a graph too)."""
         template = config.planted_partition().labels
         for _ in range(2):
             start = template[rng.permutation(config.n)]
-            labels, swaps = _hill_climb(climbed, start.copy(), config.r)
+            labels, mass, swaps = _hill_climb(climbed, start.copy(), config.r)
             want_labels, want_swaps = oracle_hill_climb(m, start.copy(), config.r)
             assert (labels.tolist(), swaps) == (want_labels.tolist(), want_swaps)
+            assert mass == objective(SimpleNamespace(matrix=m), Partition(labels))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_hill_climb(self, seed):

@@ -8,6 +8,7 @@ from hsbmlab import (
     ConfigError,
     ModelConfig,
     ObservedMatrix,
+    Partition,
     UNOBSERVED,
     clustering_matrix,
     expected_adjacency,
@@ -178,6 +179,60 @@ class TestExpectedAdjacency:
         assert np.allclose(E[0, 3], 0.05, rtol=1e-12)  # cross-cluster
         assert np.allclose(E[0, 5], 0.05, rtol=1e-12)  # cluster-isolated
         assert np.allclose(E[5, 6], 0.05, rtol=1e-12)  # isolated-isolated
+
+
+def per_pair_draw(config, labels, seed):
+    """The draw as a loop over pairs: pair index m is the m-th pair (i, j),
+    i < j, in row-major order, and takes uniform m of each stream; the pair
+    is an edge iff its stream-0 uniform is below its probability, p_k inside
+    cluster k and q elsewhere, and observed iff its stream-1 uniform is
+    below gamma.  Returns the adjacency, the observed matrix and the
+    expected collapsed matrix."""
+    n = config.n
+    edge_u = stream_rng(seed, STREAM_EDGES).random(n * (n - 1) // 2)
+    seen_u = stream_rng(seed, STREAM_OBSERVATION).random(n * (n - 1) // 2)
+    A = np.zeros((n, n), dtype=np.int8)
+    O = np.zeros((n, n), dtype=np.int8)
+    E = np.zeros((n, n))
+    pair = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = labels[i] == labels[j] != 0
+            p = float(config.probs[labels[i] - 1]) if same else config.q
+            A[i, j] = A[j, i] = edge_u[pair] < p
+            O[i, j] = O[j, i] = A[i, j] if seen_u[pair] < config.gamma else UNOBSERVED
+            E[i, j] = E[j, i] = config.gamma * p
+            pair += 1
+    return A, O, E
+
+
+class TestPerPairReference:
+    """The vectorized sampler gives the per-pair loop's matrices exactly, on
+    shuffled labels with isolated nodes interleaved among the clusters."""
+
+    CONFIGS = {
+        1: ModelConfig(1, [(1, 0.7)], 0.2, gamma=0.6),
+        2: ModelConfig(2, [(1, 0.7)], 0.4, gamma=0.6),
+        14: ModelConfig(14, [(4, 0.8), (3, 0.6), (3, 0.9)], 0.2, gamma=0.6),
+        60: ModelConfig(60, [(20, 0.5), (15, 0.7), (10, 0.6)], 0.1, gamma=0.6),
+    }
+
+    @pytest.mark.parametrize("n", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_pair_loop(self, n, seed):
+        cfg = self.CONFIGS[n]
+        labels = cfg.planted_partition().labels[np.random.default_rng(n).permutation(n)]
+        part = Partition(labels)
+        A, O, E = per_pair_draw(cfg, labels, seed)
+        got = sample_adjacency(cfg, part, seed).matrix
+        assert got.dtype == np.int8 and np.array_equal(got, A)
+        obs = sample_observed(cfg, part, seed)
+        assert obs.values.dtype == np.int8 and np.array_equal(obs.values, O)
+        for fill in (0, 1):
+            collapsed = obs.to_adjacency(fill).matrix
+            assert collapsed.dtype == np.int8
+            assert np.array_equal(collapsed, np.where(O == UNOBSERVED, fill, O))
+        assert np.array_equal(expected_adjacency(cfg, part), E)
 
 
 class TestValidation:
