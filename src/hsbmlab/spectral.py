@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import expected_adjacency, sample_adjacency
+from .generate import expected_adjacency, sample_observed
 from .model import ConfigError, ModelConfig
 
 
@@ -58,9 +58,11 @@ def concentration_experiment(
 ) -> ConcentrationStats:
     """Sample centered adjacencies and report spectral-norm-to-bound ratios.
 
-    The observation rate is folded in first (p -> gamma p, q -> gamma q),
-    matching estimators that map unobserved entries to zero.  Trial i uses
-    seed + i, so the experiment is reproducible and order-independent.
+    Trial i is the graph that ``generate``, ``recover`` and ``montecarlo``
+    draw for seed + i: ``sample_observed`` with unobserved pairs mapped to
+    zero.  Its expectation and the bound are those of the collapsed config
+    (p -> gamma p, q -> gamma q), the model of that matrix.  The experiment
+    is reproducible and order-independent.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -70,7 +72,7 @@ def concentration_experiment(
     bound = block_split_bound(collapsed)
     norms = np.empty(trials)
     for i in range(trials):
-        adj = sample_adjacency(collapsed, partition, seed + i)
+        adj = sample_observed(config, partition, seed + i).to_adjacency(unobserved_as=0)
         centered = adj.matrix.astype(float) - expected
         norms[i] = np.abs(np.linalg.eigvalsh(centered)).max()
     ratios = norms / bound

@@ -336,7 +336,7 @@ class TestSolveConvex:
 
         def spying(project):
             def spy(X, bound):
-                inputs.append(X)
+                inputs.append(X.copy())  # the solver updates Z in place
                 return project(X, bound)
             return spy
 
@@ -558,11 +558,11 @@ class TestCertificate:
 
     # seed -> (iterations, <A + I, Y_P>), every one the planted partition.
     FROZEN_SMALL10 = {0: (1, 46), 1: (2, 48), 2: (3, 42), 3: (3, 48), 4: (2, 50),
-                      5: (4, 46), 6: (1, 50), 7: (5, 48), 8: (2, 48), 9: (3, 46),
-                      79: (4, 44)}
-    FROZEN_CRITERION10 = {0: (9, 6130), 1: (10, 6156), 2: (10, 6138),
-                          3: (13, 6130), 4: (9, 6232), 5: (10, 6136),
-                          6: (11, 6094)}
+                      5: (3, 46), 6: (1, 50), 7: (4, 48), 8: (2, 48), 9: (2, 46),
+                      79: (3, 44)}
+    FROZEN_CRITERION10 = {0: (7, 6130), 1: (8, 6156), 2: (8, 6138),
+                          3: (9, 6130), 4: (7, 6232), 5: (7, 6136),
+                          6: (8, 6094)}
 
     def assert_certified(self, A, cfg, planted, expected):
         rec = recover_convex(A, cfg)
@@ -605,7 +605,7 @@ class TestCertificate:
 
     # Criterion 4's draws whose certificate needs the parity step: seed ->
     # iterations, one fewer than with a value step of 1.
-    PARITY_SMALL10 = {26: 5, 49: 5, 65: 5}
+    PARITY_SMALL10 = {26: 4, 49: 4, 65: 4}
 
     @pytest.mark.parametrize("seed", sorted(PARITY_SMALL10))
     def test_parity_certificate_matches_oracle(self, seed):
@@ -619,6 +619,39 @@ class TestCertificate:
             unit = recover_convex(A, cfg).solver
         assert unit.iterations == solver.iterations + 1 and unit.gap < 1.0
         assert unit.objective == solver.objective
+
+
+class TestRelaxation:
+    # Frozen on these draws: the relaxed step moves no success, partition
+    # or certified objective of the unit step.  One failure changes kind:
+    # seed 3 of the 13-node config reaches max_iter with the unit step and
+    # stops on the change test with the relaxed one, as a rounding failure.
+    @pytest.mark.parametrize("cfg, seeds, kind_changes", [
+        (TestCertificate.SMALL10, range(100), []),
+        (ModelConfig(12, [(5, 0.9), (5, 0.9)], 0.05), range(40), []),
+        (ModelConfig(13, [(4, 0.9), (4, 0.9)], 0.05), range(40), [3]),
+    ])
+    def test_outcomes_match_the_unit_step(self, cfg, seeds, kind_changes):
+        assert convex.RELAXATION == 1.5
+        planted = cfg.planted_partition()
+        changed = []
+        for seed in seeds:
+            A = sample_adjacency(cfg, planted, seed)
+            relaxed = recover_convex(A, cfg)
+            with mock.patch.object(convex, "RELAXATION", 1.0):
+                unit = recover_convex(A, cfg)
+            assert (relaxed.failure_kind == "none") == (unit.failure_kind == "none")
+            if unit.failure_kind == "none":
+                assert partitions_equal(relaxed.partition, unit.partition)
+            certified = [rec.solver.gap < 2.0 - convex.CERTIFICATE_SLACK
+                         for rec in (relaxed, unit)]
+            assert certified[0] == certified[1]
+            if certified[0]:
+                assert relaxed.objective == unit.objective
+            if relaxed.failure_kind != unit.failure_kind:
+                assert unit.failure_kind == "nonconvergence"
+                changed.append(seed)
+        assert changed == kind_changes
 
 
 def square_size_sets(n, sum_target):

@@ -1,6 +1,7 @@
 """Spectral-norm estimation and concentration bounds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hsbmlab import (
     derived_stats,
     expected_adjacency,
     sample_adjacency,
+    sample_observed,
 )
 
 REL = 1e-12
@@ -184,6 +186,27 @@ class TestConcentrationExperiment:
         stats = concentration_experiment(cfg, trials=3, seed=0)
         assert close(stats.bound, block_split_bound(cfg.collapsed()))
         assert stats.bound < block_split_bound(cfg)
+
+    def test_trial_is_the_generate_draw(self):
+        # Trial i centers the graph that generate, recover and montecarlo
+        # draw for seed + i, unobserved pairs read as non-edges.
+        cfg = ModelConfig(60, [(30, 0.5), (30, 0.5)], 0.05, gamma=0.5)
+        planted = cfg.planted_partition()
+        expected = expected_adjacency(cfg.collapsed(), planted)
+        eigvalsh = np.linalg.eigvalsh
+        centered = []
+
+        def recording(M):
+            centered.append(M.copy())
+            return eigvalsh(M)
+
+        with mock.patch.object(np.linalg, "eigvalsh", recording):
+            stats = concentration_experiment(cfg, trials=3, seed=4)
+        assert len(centered) == 3
+        for i, M in enumerate(centered):
+            draw = sample_observed(cfg, planted, 4 + i).to_adjacency(unobserved_as=0)
+            assert np.array_equal(M, draw.matrix.astype(float) - expected)
+            assert stats.norms[i] == np.abs(eigvalsh(M)).max()
 
     def test_ratios_in_sane_band(self):
         stats = concentration_experiment(self.CFG, trials=10, seed=0)
