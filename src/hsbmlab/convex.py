@@ -25,11 +25,11 @@ the rounded iterate is a best clustering matrix in the body (see
 clustering matrix in the body scores an integer of one parity
 (``_value_step``).  The spectral
 projection rebuilds its result from the eigenpairs the shrink keeps.  The
-candidate iterate is then rounded entrywise and validated: every connected
+final iterate is rounded entrywise and validated: every connected
 component of the thresholded matrix must be a clique, and
 ``recover_convex`` also requires the cluster sizes to be the configured
-ones; otherwise the ``Recovery`` it returns holds the failure rather
-than a partition.
+ones and a certificate; otherwise the ``Recovery`` it returns holds the
+failure rather than a partition.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ ROUNDING_THRESHOLD = 0.5
 # the 1.5-1.8 that Boyd et al. recommend (ADMM, 2011, section 3.4.3).
 RELAXATION = 1.5
 TOL_CHANGE = 1e-7
-TOL_FEASIBILITY = 1e-6
 # A certificate needs bound - <M, Y_P> < step - CERTIFICATE_SLACK, step the
 # spacing of clustering values (``_value_step``); the slack keeps float
 # error in the bound (relative 1e-12 or less) from certifying.
@@ -62,21 +61,23 @@ CERTIFICATE_SLACK = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class SolverResult:
-    """Final feasible iterate of the splitting method plus diagnostics.
+    """Final iterate of the splitting method plus diagnostics.
 
-    gap is the last computed dual bound minus <M, Y_P>, Y_P the clustering
-    matrix of the rounded iterate; inf when no iterate rounded to a
-    clustering matrix in the body, or when M or sum_target is not an
-    integer.  A certified result's gap is below the value step of M (2 for
-    A + I, see ``_value_step``) less CERTIFICATE_SLACK.
+    converged: the solve stopped before max_iter, on the certificate or the
+    change test; certified: on the certificate, Y then being the clustering
+    matrix Y_P it proves (else Y is the last box-feasible iterate).  gap is
+    the last computed dual bound minus <M, Y_P>, Y_P the clustering matrix
+    of the rounded iterate; inf when no iterate rounded to a clustering
+    matrix in the body, or when M or sum_target is not an integer.  A
+    certified result's gap is below the value step of M (2 for A + I, see
+    ``_value_step``) less CERTIFICATE_SLACK.
     """
 
     Y: np.ndarray
     iterations: int
     converged: bool
+    certified: bool
     change: float
-    nuclear_residual: float
-    sum_residual: float
     objective: float
     gap: float = math.inf
 
@@ -159,10 +160,6 @@ def project_box_sum(M: np.ndarray, total: float) -> np.ndarray:
         lam = float(v[lo - 1]) if lo else float(v[0]) - 1.0
     out = np.subtract(M, lam, out=v.reshape(M.shape))  # the sort's buffer
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def nuclear_norm(M: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
 def dual_bound(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, sum_target: int) -> float:
@@ -250,11 +247,11 @@ def solve_convex(
       1), so none scores more than Y_P: Y_P is a maximum over them (not
       necessarily the only one, and the relaxation itself may still be
       fractional).  The result is Y = Y_P with objective <M, Y_P>,
-      converged, and its gap;
+      converged and certified, and its gap;
     - the change test: a relative change of at most TOL_CHANGE between the
-      two half-steps, then converged only if the box-feasible iterate is
-      also within relative TOL_FEASIBILITY of the nuclear ball;
-    - max_iter, unconverged.
+      two half-steps, converged but not certified, with Y the box-feasible
+      iterate W;
+    - max_iter, neither, with Y = W.
     """
     check_max_iter(max_iter)
     a = np.asarray(M, dtype=float)
@@ -275,25 +272,15 @@ def solve_convex(
                 Y_P, value, gap = found
                 if gap < step - CERTIFICATE_SLACK:
                     return SolverResult(Y=Y_P.astype(float), iterations=iterations,
-                                        converged=True, change=change,
-                                        nuclear_residual=0.0, sum_residual=0.0,
+                                        converged=True, certified=True, change=change,
                                         objective=value, gap=gap)
         diff *= RELAXATION
         Z += diff
         if change <= TOL_CHANGE:
             break
-    nuc_res = max(0.0, nuclear_norm(W) - nuclear_radius) / nuclear_radius
-    converged = change <= TOL_CHANGE and nuc_res <= TOL_FEASIBILITY
-    return SolverResult(
-        Y=W,
-        iterations=iterations,
-        converged=converged,
-        change=change,
-        nuclear_residual=nuc_res,
-        sum_residual=float(abs(W.sum() - sum_target)),
-        objective=float(np.tensordot(a, W)),
-        gap=gap,
-    )
+    return SolverResult(Y=W, iterations=iterations, converged=change <= TOL_CHANGE,
+                        certified=False, change=change,
+                        objective=float(np.tensordot(a, W)), gap=gap)
 
 
 def round_solution(Y: np.ndarray) -> tuple[Partition | None, str]:
@@ -321,11 +308,12 @@ def recover_convex(
     """Solve the relaxation max <A + I, Y> at the configuration's nuclear
     radius sum_k n_k and sum target sum_k n_k^2, then round.
 
-    The Recovery carries the SolverResult and its objective.  An unconverged
-    solve is a "nonconvergence" failure; a rounding that is not cliques
-    ("not_clique") or whose cluster sizes are not the configured ones
+    The Recovery carries the SolverResult and its objective.  A max_iter
+    stop is a "nonconvergence" failure.  A rounding that is not cliques
+    ("not_clique"), whose cluster sizes are not the configured ones
     ("size_mismatch", as is every partition of a config with a cluster of
-    size 1) is a "rounding" failure.
+    size 1), or that has no certificate ("uncertified", a change-test
+    stop) is a "rounding" failure, so every success is certified.
 
     The identity charges the diagonal ones that the sum target counts (see
     the module docstring); the objective is therefore <A + I, Y>, which on
@@ -341,11 +329,13 @@ def recover_convex(
                           max_iter)
     if not result.converged:
         detail = (f"nonconvergence: no convergence in {result.iterations} "
-                  f"iterations (change {result.change:.3e}, nuclear residual "
-                  f"{result.nuclear_residual:.3e}, gap {result.gap:.3e})")
+                  f"iterations (change {result.change:.3e}, gap {result.gap:.3e})")
         return Recovery(None, "nonconvergence", detail, result.objective, result)
     partition, detail = round_solution(result.Y)
     detail = detail or size_mismatch(partition, config)
+    if not (detail or result.certified):
+        detail = (f"uncertified: the dual bound is {result.gap:.3e} above "
+                  f"the rounded value")
     if detail:
         return Recovery(None, "rounding", detail, result.objective, result)
     return Recovery(partition, "none", "", result.objective, result)

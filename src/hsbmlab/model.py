@@ -318,9 +318,9 @@ class Recovery:
     (None when it could not produce one), a failure_kind from
     FAILURE_KINDS, a one-line detail for any failure kind but "none"
     (convex and counting details start with their cause: "not_clique: ",
-    "size_mismatch: " or "nonconvergence: "), the objective (NaN for a
-    counting failure), and the convex method's solver diagnostics (None
-    for the other methods)."""
+    "size_mismatch: ", "uncertified: " or "nonconvergence: "), the
+    objective (NaN for a counting failure), and the convex method's solver
+    diagnostics (None for the other methods)."""
 
     partition: Partition | None
     failure_kind: str
