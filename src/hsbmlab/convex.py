@@ -18,18 +18,16 @@ It is solved by Douglas-Rachford splitting between the nuclear-norm ball
 (spectral projection) and the box-with-sum polytope (entrywise clamp at a
 shift found exactly from the sorted entries), with the linear objective
 folded into the second proximal step at unit step size, and the update
-over-relaxed by the fixed factor RELAXATION = 3/2.  With an integer
-objective matrix the iteration stops as soon as weak duality proves that
-the rounded iterate is a best clustering matrix in the body (see
-``solve_convex``).  For A + I the proof needs a gap below 2, not 1: every
-clustering matrix in the body scores an integer of one parity
-(``_value_step``).  The spectral
-projection rebuilds its result from the eigenpairs the shrink keeps.  The
-final iterate is rounded entrywise and validated: every connected
-component of the thresholded matrix must be a clique, and
-``recover_convex`` also requires the cluster sizes to be the configured
-ones and a certificate; otherwise the ``Recovery`` it returns holds the
-failure rather than a partition.
+over-relaxed by the fixed factor RELAXATION = 3/2.  The iteration stops as
+soon as weak duality proves that the rounded iterate is a best clustering
+matrix in the body (see ``solve_convex``).  The proof needs a gap below 2,
+not 1: every clustering matrix in the body scores an integer of one
+parity (``VALUE_STEP``).  The spectral projection rebuilds its result from
+the eigenpairs the shrink keeps.  Every rounding, the certificate's and the
+final one, is ``round_solution``: threshold entrywise and require every
+connected component to be a clique.  ``recover_convex`` also requires the
+cluster sizes to be the configured ones and a certificate; otherwise the
+``Recovery`` it returns holds the failure rather than a partition.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import Adjacency, config_matrix
+from .generate import Adjacency, check_node_count
 from .model import (ConfigError, ModelConfig, Partition, Recovery,
                     clique_components, clustering_matrix, size_mismatch)
 
@@ -53,9 +51,14 @@ ROUNDING_THRESHOLD = 0.5
 # the 1.5-1.8 that Boyd et al. recommend (ADMM, 2011, section 3.4.3).
 RELAXATION = 1.5
 TOL_CHANGE = 1e-7
-# A certificate needs bound - <M, Y_P> < step - CERTIFICATE_SLACK, step the
-# spacing of clustering values (``_value_step``); the slack keeps float
-# error in the bound (relative 1e-12 or less) from certifying.
+# The spacing of <A + I, Y_P> over the clustering matrices Y_P in the body.
+# With clusters C, <A + I, Y_P> = 2 * (edges inside the clusters) + sum |C|,
+# and since x = x^2 (mod 2), sum |C| has the parity of sum |C|^2, the body's
+# entry sum: every clustering matrix in the body scores one parity.
+VALUE_STEP = 2
+# A certificate needs bound - <A + I, Y_P> < VALUE_STEP - CERTIFICATE_SLACK;
+# the slack keeps float error in the bound (relative 1e-12 or less) from
+# certifying.
 CERTIFICATE_SLACK = 1e-3
 
 
@@ -66,11 +69,10 @@ class SolverResult:
     converged: the solve stopped before max_iter, on the certificate or the
     change test; certified: on the certificate, Y then being the clustering
     matrix Y_P it proves (else Y is the last box-feasible iterate).  gap is
-    the last computed dual bound minus <M, Y_P>, Y_P the clustering matrix
-    of the rounded iterate; inf when no iterate rounded to a clustering
-    matrix in the body, or when M or sum_target is not an integer.  A
-    certified result's gap is below the value step of M (2 for A + I, see
-    ``_value_step``) less CERTIFICATE_SLACK.
+    the last computed dual bound minus <A + I, Y_P>, Y_P the clustering
+    matrix of the rounded iterate; inf when no iterate rounded to a
+    clustering matrix in the body.  A certified result's gap is below
+    VALUE_STEP less CERTIFICATE_SLACK.
     """
 
     Y: np.ndarray
@@ -182,9 +184,10 @@ def dual_bound(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, sum_target: int) -> 
 
 def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
              nuclear_radius: float, sum_target: int):
-    """Round W; if it gives a clustering matrix Y_P in the body, return
-    (Y_P as int8, <M, Y_P>, dual bound - <M, Y_P>), else None.  M must be
-    integer-valued, so <M, Y_P> is an exact sum in any order."""
+    """Round W with ``round_solution``; if it gives a clustering matrix Y_P
+    in the body, return (Y_P as int8, <M, Y_P>, dual bound - <M, Y_P>),
+    else None.  M is A + I, so <M, Y_P> is an exact integer sum in any
+    order."""
     link = W > ROUNDING_THRESHOLD
     np.fill_diagonal(link, False)
     degrees = link.sum(axis=1)
@@ -194,59 +197,39 @@ def _certify(M: np.ndarray, Z: np.ndarray, Y: np.ndarray, W: np.ndarray,
     # the body here spares most iterates the rounding.
     if int((linked + 1).sum()) != sum_target or linked.size > nuclear_radius:
         return None
-    labels, flaw = clique_components(link)
-    if flaw is not None:
+    partition, _ = round_solution(W)
+    if partition is None:
         return None
-    Y_P = clustering_matrix(Partition(labels))
+    Y_P = clustering_matrix(partition)
     value = float(M[Y_P.view(bool)].sum())
     return Y_P, value, dual_bound(M, Z, Y, sum_target) - value
 
 
-def _value_step(M: np.ndarray) -> int:
-    """The spacing of <M, Y_P> over the clustering matrices Y_P in the body:
-    2 when M is integer-valued, exactly symmetric and its diagonal entries
-    all share one parity d, else 1.
-
-    For symmetric M, <M, Y_P> = sum of M_ii over the clustered nodes plus
-    twice the sum of M_ij over the pairs i < j in one cluster.  With d the
-    diagonal's parity the value is d * sum |C| modulo 2, and since
-    x = x^2 (mod 2), sum |C| has the parity of sum |C|^2 = sum_target.  So
-    every clustering matrix in the body scores d * sum_target modulo 2.
-    A + I (odd diagonal) and A (even) both qualify.
-    """
-    parity = np.diagonal(M) % 2
-    one_parity = bool(np.all(parity == parity[:1]))
-    integer = bool(np.all(M == np.round(M)))
-    return 2 if integer and one_parity and np.array_equal(M, M.T) else 1
-
-
 def solve_convex(
-    M: np.ndarray,
+    A: Adjacency,
     nuclear_radius: float,
-    sum_target: float,
+    sum_target: int,
     max_iter: int = MAX_ITER,
 ) -> SolverResult:
-    """Douglas-Rachford iteration for max <M, Y> over the relaxation body,
-    M the given matrix, which must be exactly symmetric (else ValueError).
+    """Douglas-Rachford iteration for max <A + I, Y> over the relaxation
+    body, A the observed graph.
 
     Each iteration takes Y, the spectral projection (nuclear ball) of Z,
-    and W, the shifted clamp projection (box + sum) of 2Y - Z + M, with the
-    linear objective absorbed into the second step, then moves Z by
+    and W, the shifted clamp projection (box + sum) of 2Y - Z + A + I, with
+    the linear objective absorbed into the second step, then moves Z by
     RELAXATION * (W - Y).  The relaxation changes the path only: the dual
     bound holds for any Z with Y its nuclear projection, so a certificate
     proves the same whatever iterates led to it.  It stops on whichever
     comes first:
 
-    - a certificate (only when M is integer-valued and sum_target an
-      integer): the box-feasible iterate W rounds to a clustering matrix
-      Y_P in the body (sizes with sum of squares sum_target and sum at most
-      the radius), and the dual bound (``dual_bound``) exceeds <M, Y_P> by
-      less than step - CERTIFICATE_SLACK.  The values <M, Y> of the
-      clustering matrices in the body differ by multiples of step
-      (``_value_step``: 2 for A + I, whose diagonal has one parity, else
-      1), so none scores more than Y_P: Y_P is a maximum over them (not
-      necessarily the only one, and the relaxation itself may still be
-      fractional).  The result is Y = Y_P with objective <M, Y_P>,
+    - a certificate: the box-feasible iterate W rounds to a clustering
+      matrix Y_P in the body (sizes with sum of squares sum_target and sum
+      at most the radius), and the dual bound (``dual_bound``) exceeds
+      <A + I, Y_P> by less than VALUE_STEP - CERTIFICATE_SLACK.  The values
+      of the clustering matrices in the body differ by multiples of
+      VALUE_STEP, so none scores more than Y_P: Y_P is a maximum over them
+      (not necessarily the only one, and the relaxation itself may still be
+      fractional).  The result is Y = Y_P with objective <A + I, Y_P>,
       converged and certified, and its gap;
     - the change test: a relative change of at most TOL_CHANGE between the
       two half-steps, converged but not certified, with Y the box-feasible
@@ -254,11 +237,8 @@ def solve_convex(
     - max_iter, neither, with Y = W.
     """
     check_max_iter(max_iter)
-    a = np.asarray(M, dtype=float)
-    if not np.array_equal(a, a.T):
-        raise ValueError("M must be symmetric")
-    certifiable = float(sum_target).is_integer() and bool(np.all(a == np.round(a)))
-    step = _value_step(a)
+    a = A.matrix.astype(float)
+    np.fill_diagonal(a, 1.0)  # A + I, A's diagonal being zero
     Z = project_box_sum(a, sum_target)
     gap = math.inf
     for iterations in range(1, max_iter + 1):
@@ -266,14 +246,13 @@ def solve_convex(
         W = project_box_sum(2.0 * Y - Z + a, sum_target)
         diff = W - Y
         change = float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(W)))
-        if certifiable:
-            found = _certify(a, Z, Y, W, nuclear_radius, int(sum_target))
-            if found is not None:
-                Y_P, value, gap = found
-                if gap < step - CERTIFICATE_SLACK:
-                    return SolverResult(Y=Y_P.astype(float), iterations=iterations,
-                                        converged=True, certified=True, change=change,
-                                        objective=value, gap=gap)
+        found = _certify(a, Z, Y, W, nuclear_radius, sum_target)
+        if found is not None:
+            Y_P, value, gap = found
+            if gap < VALUE_STEP - CERTIFICATE_SLACK:
+                return SolverResult(Y=Y_P.astype(float), iterations=iterations,
+                                    converged=True, certified=True, change=change,
+                                    objective=value, gap=gap)
         diff *= RELAXATION
         Z += diff
         if change <= TOL_CHANGE:
@@ -322,11 +301,9 @@ def recover_convex(
     configured sizes, isolated nodes adding nothing, so the body is the
     tightest nuclear ball that still contains them all.
     """
-    sum_target = float(sum(s * s for s in config.sizes))
-    objective_matrix = config_matrix(A, config).astype(float)
-    np.fill_diagonal(objective_matrix, 1.0)  # A + I, A's diagonal being zero
-    result = solve_convex(objective_matrix, float(config.n_covered), sum_target,
-                          max_iter)
+    check_node_count(A.n, config.n)
+    sum_target = sum(int(s) ** 2 for s in config.sizes)
+    result = solve_convex(A, float(config.n_covered), sum_target, max_iter)
     if not result.converged:
         detail = (f"nonconvergence: no convergence in {result.iterations} "
                   f"iterations (change {result.change:.3e}, gap {result.gap:.3e})")

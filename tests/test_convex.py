@@ -298,28 +298,20 @@ class TestSolverOptions:
     def test_validation(self, kwargs):
         cfg = ModelConfig(4, [(2, 0.9), (2, 0.9)], 0.05)
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
-            solve_convex(np.zeros((4, 4)), 4.0, 8.0, **kwargs)
+            solve_convex(Adjacency(np.zeros((4, 4))), 4.0, 8, **kwargs)
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
             recover_convex(Adjacency(np.zeros((4, 4))), cfg, **kwargs)
 
     @pytest.mark.parametrize("value", [5.0, True, "5"])
     def test_non_integer_rejected(self, value):
         with pytest.raises(ConfigError, match="max_iter must be an integer"):
-            solve_convex(np.zeros((4, 4)), 4.0, 8.0, max_iter=value)
+            solve_convex(Adjacency(np.zeros((4, 4))), 4.0, 8, max_iter=value)
 
     def test_numpy_integer_accepted(self):
         assert convex.check_max_iter(np.int64(3)) == 3
 
 
 class TestSolveConvex:
-    def test_asymmetric_matrix_refused(self):
-        # The iterates stay exactly symmetric only because M is; one unit
-        # in the last place off is refused, not symmetrized.
-        M = np.eye(4)
-        M[0, 1] = np.nextafter(0.0, 1.0)
-        with pytest.raises(ValueError, match="M must be symmetric"):
-            solve_convex(M, 4.0, 8.0)
-
     def test_every_projection_input_exactly_symmetric(self):
         # With the symmetrizing passes gone, both projections must still
         # see exactly symmetric matrices on real draws, full and partial.
@@ -344,7 +336,7 @@ class TestSolveConvex:
         assert all(np.array_equal(X, X.T) for X in inputs)
 
     def test_zero_matrix(self):
-        res = solve_convex(np.zeros((4, 4)), 4.0, 0.0)
+        res = solve_convex(Adjacency(np.zeros((4, 4))), 4.0, 0)
         assert res.converged
         assert np.abs(res.Y).max() < 1e-9
         assert res.objective == 0.0
@@ -352,7 +344,7 @@ class TestSolveConvex:
     def test_iterate_always_box_sum_feasible(self):
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=1)
-        res = solve_convex(A.matrix, 10.0, 50.0)
+        res = solve_convex(A, 10.0, 50)
         Y = res.Y
         assert (Y >= -1e-12).all() and (Y <= 1.0 + 1e-12).all()
         assert abs(Y.sum() - 50.0) < 1e-6
@@ -362,7 +354,7 @@ class TestSolveConvex:
         cfg = ModelConfig(12, [(6, 1.0), (6, 1.0)], 0.0)
         part = cfg.planted_partition()
         A = sample_adjacency(cfg, part, seed=0)
-        res = solve_convex(A.matrix, 12.0, 72.0)
+        res = solve_convex(A, 12.0, 72)
         assert res.converged
         ideal = np.kron(np.eye(2), np.ones((6, 6)))
         assert np.abs(res.Y - ideal).max() < 1e-4
@@ -375,8 +367,8 @@ class TestSolveConvex:
         ideal = np.kron(np.eye(2), np.ones((5, 5)))
         for seed in range(5):
             A = sample_adjacency(cfg, part, seed=seed)
-            res = solve_convex(A.matrix, 10.0, 50.0)
-            planted_obj = float(np.tensordot(A.matrix.astype(float), ideal))
+            res = solve_convex(A, 10.0, 50)
+            planted_obj = float(np.tensordot(A.matrix + np.eye(10), ideal))
             assert res.objective >= planted_obj - 0.5
 
     def test_max_iter_reached_flags_nonconvergence(self):
@@ -384,7 +376,7 @@ class TestSolveConvex:
         # stop the solver within one iteration.
         cfg = ModelConfig(10, [(5, 0.9), (5, 0.9)], 0.05)
         A = sample_adjacency(cfg, cfg.planted_partition(), seed=36)
-        res = solve_convex(A.matrix, 10.0, 50.0, max_iter=1)
+        res = solve_convex(A, 10.0, 50, max_iter=1)
         assert res.iterations == 1
         assert not res.converged
 
@@ -578,22 +570,34 @@ class TestCertificate:
         A = sample_observed(cfg, planted, seed).to_adjacency(unobserved_as=0)
         self.assert_certified(A, cfg.collapsed(), planted, self.FROZEN_CRITERION10[seed])
 
-    def test_non_integer_matrix_never_certifies(self):
-        # A constant shift adds 0.25 * sum_target to every point of the body,
-        # so it keeps the maximizers but makes the matrix non-integer.
-        cfg = self.SMALL10
-        A = sample_adjacency(cfg, cfg.planted_partition(), seed=0)
-        M = A.matrix + np.eye(cfg.n)
-        certified = solve_convex(M, 10.0, 50.0)
-        assert certified.iterations == 1 and certified.gap < 1.0
-        shifted = solve_convex(M + 0.25, 10.0, 50.0)
-        assert shifted.gap == math.inf
-        assert shifted.iterations > 1
-        assert shifted.change <= convex.TOL_CHANGE
-        assert shifted.converged and not shifted.certified
-        capped = solve_convex(M + 0.25, 10.0, 50.0, max_iter=3)
-        assert capped.iterations == 3 and not capped.converged
-        assert capped.gap == math.inf
+    def test_certificate_rounds_with_round_solution(self):
+        # One rounding rule: the certificate reads the certifying iterate
+        # with round_solution, and recover_convex its final answer.
+        cfg = self.CRITERION10
+        planted = cfg.planted_partition()
+        A = sample_observed(cfg, planted, 0).to_adjacency(unobserved_as=0)
+        iterates, rounded = [], []
+
+        def box_spy(X, total):
+            W = project_box_sum(X, total)
+            iterates.append(W)
+            return W
+
+        def round_spy(Y):
+            found = round_solution(Y)
+            rounded.append((Y, found))
+            return found
+
+        with mock.patch.object(convex, "project_box_sum", box_spy), \
+                mock.patch.object(convex, "round_solution", round_spy):
+            rec = recover_convex(A, cfg.collapsed())
+        assert rec.solver.certified and partitions_equal(rec.partition, planted)
+        assert len(rounded) >= 2
+        assert all(any(Y is W for W in iterates) for Y, _ in rounded[:-1])
+        (certifying, certified), (final, answer) = rounded[-2:]
+        assert certifying is iterates[-1] and final is rec.solver.Y
+        for partition, detail in (certified, answer):
+            assert detail == "" and partitions_equal(partition, planted)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_uncertified_stop_is_a_rounding_failure(self, seed):
@@ -624,7 +628,7 @@ class TestCertificate:
         assert solver.certified and solver.iterations == self.PARITY_SMALL10[seed]
         assert 1.0 <= solver.gap
         assert solver.objective == solve_exhaustive(A, cfg).objective + cfg.n_covered
-        with mock.patch.object(convex, "_value_step", lambda M: 1):
+        with mock.patch.object(convex, "VALUE_STEP", 1):
             unit = recover_convex(A, cfg).solver
         assert unit.iterations == solver.iterations + 1 and unit.certified
         assert unit.gap < 1.0
@@ -689,34 +693,11 @@ class TestValueStep:
             M = upper + upper.T
             d = int(rng.integers(2))
             np.fill_diagonal(M, 2 * rng.integers(-3, 4, size=n) + d)
-            assert convex._value_step(M.astype(float)) == 2
             for found in size_sets:
                 cfg = ModelConfig(n, [(size, 0.5) for size in found], 0.1)
                 for part in enumerate_partitions(cfg):
                     value = int(np.tensordot(M, clustering_matrix(part)))
                     assert (value - d * sum_target) % 2 == 0
-
-    def test_mixed_parity_diagonal_splits_values(self):
-        # Pairs {0, 1} and {0, 2} differ by M_11 - M_22 on the diagonal.
-        M = np.diag([1, 0, 1])
-        values = {int(np.tensordot(M, clustering_matrix(part)))
-                  for part in enumerate_partitions(ModelConfig(3, [(2, 0.5)], 0.1))}
-        assert {value % 2 for value in values} == {0, 1}
-        assert convex._value_step(M.astype(float)) == 1
-
-    def test_step_rule(self):
-        cfg = TestCertificate.SMALL10
-        A = sample_adjacency(cfg, cfg.planted_partition(), seed=0).matrix.astype(float)
-        I = np.eye(cfg.n)
-        assert convex._value_step(A + I) == 2
-        assert convex._value_step(A) == 2
-        assert convex._value_step(-(A + 3 * I)) == 2
-        assert convex._value_step(A + np.diag([1, 0] * 5)) == 1
-        asymmetric = A + I
-        asymmetric[0, 1] += 1.0
-        assert convex._value_step(asymmetric) == 1
-        assert convex._value_step(A + I + 0.25) == 1
-        assert convex._value_step(A + 0.5 * I) == 1
 
 
 class TestKeptRebuild:
