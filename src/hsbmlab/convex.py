@@ -23,7 +23,9 @@ soon as weak duality proves that the rounded iterate is a best clustering
 matrix in the body (see ``solve_convex``).  The proof needs a gap below 2,
 not 1: every clustering matrix in the body scores an integer of one
 parity (``VALUE_STEP``).  The spectral projection rebuilds its result from
-the eigenpairs the shrink keeps.  Every rounding, the certificate's and the
+the eigenpairs the shrink keeps, and computes only those eigenvectors,
+with the LAPACK routines of the OpenBLAS that numpy links (a full ``eigh``
+where they are missing).  Every rounding, the certificate's and the
 final one, is ``round_solution``: threshold entrywise and require every
 connected component to be a clique.  ``recover_convex`` also requires the
 cluster sizes to be the configured ones and a certificate; otherwise the
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
 from .generate import Adjacency, check_node_count
 from .model import (ConfigError, ModelConfig, Partition, Recovery,
                     clique_components, clustering_matrix, size_mismatch)
@@ -111,19 +114,76 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
-def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
-    """Frobenius projection of a symmetric matrix onto {||Y||_* <= radius}:
-    eigendecompose and project the spectrum onto the l1 ball, then rebuild
-    from the kept eigenpairs alone, those whose projected eigenvalue is
-    nonzero.  The shrink zeroes most of them, and each dropped term is an
-    exact zero in the full rebuild (V * w_proj) @ V.T."""
+def _rebuild(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(V * w) @ V.T, symmetrized."""
+    out = (V * w) @ V.T
+    return (out + out.T) / 2.0
+
+
+def _project_nuclear_eigh(M: np.ndarray, radius: float) -> np.ndarray:
+    """project_nuclear_ball from a full eigendecomposition."""
     w, V = np.linalg.eigh(M)
     if np.abs(w).sum() <= radius:
         return M.copy()
     w_proj = _project_l1_ball(w, radius)
     kept = np.flatnonzero(w_proj)
-    out = (V[:, kept] * w_proj[kept]) @ V[:, kept].T
-    return (out + out.T) / 2.0
+    return _rebuild(V[:, kept], w_proj[kept])
+
+
+def _project_nuclear_kept(M: np.ndarray, radius: float) -> np.ndarray | None:
+    """project_nuclear_ball computing only the kept eigenvectors, on the
+    route of LAPACK's dsyevx, or None where numpy's OpenBLAS lacks a
+    routine or one reports failure (INFO != 0)."""
+    routines = (_openblas.lapack("dsytrd", 10, 1), _openblas.lapack("dsterf", 4),
+                _openblas.lapack("dstein", 13), _openblas.lapack("dormtr", 13, 3))
+    n = len(M)
+    if None in routines or not n or np.shape(M) != (n, n):
+        return None  # eigh takes the empty M, and raises on a non-square one
+    sytrd, sterf, stein, ormtr = routines
+    a = np.array(M, dtype=float, order="F")
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    # a becomes T = Q^T M Q, tridiagonal (d, e), with Q's reflectors below
+    # its subdiagonal, read from M's lower triangle as eigh reads it.
+    if _openblas.with_workspace(sytrd, "L", n, a, n, d, e, tau):
+        return None
+    w, scratch = d.copy(), e.copy()  # dsterf overwrites both
+    if sterf(n, w, scratch):  # every eigenvalue, ascending
+        return None
+    if np.abs(w).sum() <= radius:
+        return M.copy()
+    w_proj = _project_l1_ball(w, radius)
+    kept = np.flatnonzero(w_proj)
+    k = kept.size
+    # Inverse iteration on T for the kept eigenvalues, T taken as one block
+    # even where it splits (dstein orthogonalizes the vectors of close
+    # eigenvalues within a block); then V = Q Z, applying the reflectors
+    # to the k columns only.
+    Z = np.empty((n, k), order="F")
+    if stein(n, d, e, k, w[kept], np.ones(k, dtype=np.int64), np.full(n, n),
+             Z, n, np.empty(5 * n), np.empty(n, dtype=np.int64),
+             np.empty(k, dtype=np.int64)):
+        return None
+    if _openblas.with_workspace(ormtr, "L", "L", "N", n, k, a, n, tau, Z, n):
+        return None
+    return _rebuild(Z, w_proj[kept])
+
+
+def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
+    """Frobenius projection of a symmetric matrix onto {||Y||_* <= radius}:
+    project the spectrum onto the l1 ball, then rebuild from the kept
+    eigenpairs alone, those whose projected eigenvalue is nonzero.
+
+    The shrink zeroes most of them, so only the kept eigenvectors are
+    computed: reduce M to tridiagonal T = Q^T M Q (dsytrd), take every
+    eigenvalue of T without vectors (dsterf), find T's eigenvectors for
+    the kept ones by inverse iteration (dstein) and apply Q to those k
+    columns alone (dormtr).  Where numpy's OpenBLAS does not export these
+    routines, or one reports failure, the projection takes the full
+    eigendecomposition (eigh) instead; both rebuild (V * w_proj) @ V.T
+    from the kept columns, symmetrized, exact zeros when none is kept.
+    """
+    out = _project_nuclear_kept(M, radius)
+    return _project_nuclear_eigh(M, radius) if out is None else out
 
 
 def project_box_sum(M: np.ndarray, total: float) -> np.ndarray:

@@ -14,8 +14,6 @@ requested, keeping file bytes run-invariant.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import json
 import math
 import threading
@@ -24,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from ._openblas import thread_calls as openblas_thread_calls
 from .convex import MAX_ITER, check_max_iter, recover_convex
 from .counting import recover_counting
 from .exhaustive import (check_exhaustive_size, check_restarts, local_search,
@@ -177,35 +176,16 @@ _blas_pins = 0
 _blas_saved = 0
 
 
-@functools.cache
-def openblas_thread_calls():
-    """(get, set) for the thread count of the OpenBLAS that numpy.linalg
-    links, or None.  dlsym on the linalg extension also searches the
-    libraries it depends on, so the wheel's file layout does not matter."""
-    try:
-        from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, AttributeError, OSError):
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
 @contextmanager
 def one_blas_thread():
     """Run the body with OpenBLAS on one thread, then restore its count.
 
     Worker threads supply the parallelism; each BLAS call fanning out as
     well would oversubscribe the cores.  One worker is pinned too, since
-    eigh's last bits depend on the BLAS thread count.  Overlapping uses
-    share one pin: the first in saves the count and the last out restores
-    it.  A no-op where numpy is not linked to OpenBLAS.
+    the last bits of eigh, dsytrd and dormtr depend on the BLAS thread
+    count.  Overlapping uses share one pin: the first in saves the count
+    and the last out restores it.  A no-op where numpy is not linked to
+    OpenBLAS.
     """
     global _blas_pins, _blas_saved
     get, set_ = openblas_thread_calls() or (lambda: 0, lambda count: None)

@@ -8,9 +8,11 @@ pipeline is pinned with frozen success counts on a fixed seed range.  The
 duality-gap stop is checked against an eigensolver-based bound and the
 exhaustive oracle, and its iteration counts are pinned.  The parity step
 of the certificate is checked by enumerating clustering matrices, and the
-kept-eigenpair rebuild of the nuclear projection against the full one.
+kept-eigenpair rebuild of the nuclear projection against the full one, on
+both of its routes: LAPACK's kept eigenvectors and the eigh fallback.
 """
 
+import functools
 import math
 from unittest import mock
 
@@ -33,11 +35,17 @@ from hsbmlab import (
     sample_observed,
     solve_convex,
 )
-from hsbmlab import convex
+from hsbmlab import _openblas, convex
 from hsbmlab.convex import dual_bound
 from hsbmlab.exhaustive import objective, solve_exhaustive
 from hsbmlab.model import clustering_matrix
 from test_exhaustive import enumerate_partitions
+
+
+# numpy's wheels link scipy-openblas, whose LAPACK the nuclear projection
+# binds; on such a build the eigh fallback must not run.
+SCIPY_OPENBLAS = (np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+                  ["name"] == "scipy-openblas")
 
 
 def random_symmetric(rng, n, scale=2.0):
@@ -80,6 +88,47 @@ def full_rebuild_projection(M, radius):
     w_proj = convex._project_l1_ball(w, radius)
     out = (V * w_proj) @ V.T
     return (out + out.T) / 2.0
+
+
+def eigh_projection(M, radius):
+    """The nuclear projection as the eigh fallback computes it: a full
+    eigendecomposition, rebuilt from the kept eigenpairs."""
+    w, V = np.linalg.eigh(M)
+    if np.abs(w).sum() <= radius:
+        return M.copy()
+    w_proj = convex._project_l1_ball(w, radius)
+    kept = np.flatnonzero(w_proj)
+    out = (V[:, kept] * w_proj[kept]) @ V[:, kept].T
+    return (out + out.T) / 2.0
+
+
+@st.composite
+def symmetric_inputs(draw):
+    """(M, radius): a symmetric matrix of order 1 to 12 and a radius from 0
+    to 1.2 times its nuclear norm.  Besides dense matrices, block-diagonal
+    ones, whose tridiagonal form splits (as A + I does at isolated nodes),
+    with some blocks repeated and some 1x1 blocks of 1; and matrices with
+    few distinct eigenvalues, so that the kept ones repeat."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "blocks", "repeated"]))
+    if kind == "dense":
+        M = random_symmetric(rng, n)
+    elif kind == "blocks":
+        M = np.zeros((n, n))
+        start, block = 0, None
+        while start < n:  # each block new, or a repeat of the one before
+            if block is None or len(block) > n - start or rng.random() < 0.5:
+                size = int(rng.integers(1, n - start + 1))
+                block = np.eye(size) if rng.random() < 0.3 else random_symmetric(rng, size)
+            M[start:start + len(block), start:start + len(block)] = block
+            start += len(block)
+    else:
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        M = (Q * rng.choice([-3.0, -1.0, 0.5, 2.0, 4.0], size=n)) @ Q.T
+        M = (M + M.T) / 2.0
+    radius = draw(st.floats(0.0, 1.2)) * float(np.abs(np.linalg.eigvalsh(M)).sum())
+    return M, radius
 
 
 def oracle_box_sum_projection(M, total):
@@ -162,6 +211,16 @@ class TestNuclearProjection:
             O = oracle_nuclear_projection(M, radius)
             assert np.abs(P - O).max() < 1e-8
             assert nuclear_norm(P) <= radius * (1.0 + 1e-9)
+
+    @given(symmetric_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection_oracle_on_drawn_inputs(self, case):
+        M, radius = case
+        P = project_nuclear_ball(M, radius)
+        assert np.abs(P - oracle_nuclear_projection(M, radius)).max() < 1e-8
+        assert nuclear_norm(P) <= radius * (1.0 + 1e-9) + 1e-12
+        if SCIPY_OPENBLAS:  # the LAPACK route computed P, with no fallback
+            assert np.array_equal(P, convex._project_nuclear_kept(M, radius))
 
     def test_optimality_against_feasible_probes(self):
         rng = np.random.default_rng(2)
@@ -700,27 +759,92 @@ class TestValueStep:
                     assert (value - d * sum_target) % 2 == 0
 
 
+@functools.cache
+def criterion10_iterates():
+    """The (Z, radius) of every nuclear projection that criterion 10's
+    draws 0-6 make, one per iteration."""
+    cfg = TestCertificate.CRITERION10
+    planted = cfg.planted_partition()
+    inputs = []
+
+    def recording(Z, r):
+        inputs.append((Z.copy(), r))
+        return project_nuclear_ball(Z, r)
+
+    with mock.patch.object(convex, "project_nuclear_ball", recording):
+        for seed in range(7):
+            A = sample_observed(cfg, planted, seed).to_adjacency(unobserved_as=0)
+            recover_convex(A, cfg.collapsed())
+    frozen = TestCertificate.FROZEN_CRITERION10
+    assert len(inputs) == sum(iterations for iterations, _ in frozen.values())
+    return tuple(inputs)
+
+
+def no_lapack(*signature):
+    return None
+
+
 class TestKeptRebuild:
-    def test_bit_identical_to_full_rebuild_on_criterion10(self):
-        # Like the golden digests, bit identity pins numpy 2.4 on x86-64.
-        cfg = TestCertificate.CRITERION10
-        planted = cfg.planted_partition()
-        inputs = []
+    """The kept-eigenpair rebuild against the rebuild from every eigenpair,
+    on the 54 iterates of criterion10_iterates."""
 
-        def recording(Z, r):
-            inputs.append((Z.copy(), r))
-            return project_nuclear_ball(Z, r)
-
-        with mock.patch.object(convex, "project_nuclear_ball", recording):
-            for seed in range(7):
-                A = sample_observed(cfg, planted, seed).to_adjacency(unobserved_as=0)
-                recover_convex(A, cfg.collapsed())
-        frozen = TestCertificate.FROZEN_CRITERION10
-        assert len(inputs) == sum(iterations for iterations, _ in frozen.values())
+    def test_bit_identical_to_full_rebuild_on_criterion10(self, monkeypatch):
+        # The eigh route.  Like the golden digests, bit identity pins
+        # numpy 2.4 on x86-64.
+        monkeypatch.setattr(_openblas, "lapack", no_lapack)
+        n = TestCertificate.CRITERION10.n
         dropped = 0
-        for Z, r in inputs:
+        for Z, r in criterion10_iterates():
             kept_rebuild = project_nuclear_ball(Z, r)
             assert np.array_equal(kept_rebuild, full_rebuild_projection(Z, r))
             w = convex._project_l1_ball(np.linalg.eigvalsh(Z), r)
-            dropped += np.count_nonzero(w) < cfg.n
-        assert dropped == len(inputs)
+            dropped += np.count_nonzero(w) < n
+        assert dropped == len(criterion10_iterates())
+
+    def test_lapack_route_matches_full_rebuild_on_criterion10(self):
+        for Z, r in criterion10_iterates():
+            full = full_rebuild_projection(Z, r)
+            assert np.abs(project_nuclear_ball(Z, r) - full).max() <= 1e-12 * np.abs(full).max()
+
+
+class TestLapackRoute:
+    """project_nuclear_ball computes only the kept eigenvectors through
+    numpy's OpenBLAS, and takes the eigh route, to the byte, where that
+    cannot be done."""
+
+    M = random_symmetric(np.random.default_rng(11), 30)
+    RADIUS = 6.0
+
+    def assert_eigh_bytes(self):
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            P = project_nuclear_ball(self.M, self.RADIUS)
+        eigh.assert_called_once()
+        assert P.tobytes() == eigh_projection(self.M, self.RADIUS).tobytes()
+
+    def test_missing_binding_takes_eigh(self, monkeypatch):
+        monkeypatch.setattr(_openblas, "lapack", no_lapack)
+        self.assert_eigh_bytes()
+
+    def test_dstein_failure_takes_eigh(self, monkeypatch):
+        bound = _openblas.lapack
+        calls = []
+
+        def failing_dstein(*args):
+            calls.append(args)
+            return 1  # INFO > 0: an eigenvector failed to converge
+
+        monkeypatch.setattr(_openblas, "lapack", lambda name, *signature: (
+            failing_dstein if name == "dstein" else bound(name, *signature)))
+        self.assert_eigh_bytes()
+        assert len(calls) == (1 if SCIPY_OPENBLAS else 0)
+
+    @pytest.mark.skipif(not SCIPY_OPENBLAS, reason="numpy is not linked to scipy-openblas")
+    def test_solve_never_calls_eigh(self):
+        # Criterion 5's config and seed 0: a numpy whose OpenBLAS renames
+        # the symbols fails here rather than running slower.
+        cfg = ModelConfig(200, [(100, 0.5), (100, 0.5)], 0.05)
+        A = sample_adjacency(cfg, cfg.planted_partition(), 0)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            result = solve_convex(A, float(cfg.n_covered), 2 * 100**2)
+        assert result.certified
+        eigh.assert_not_called()

@@ -198,16 +198,16 @@ MONTECARLO_DIGESTS = {
         "07887d8686e9491a4cb6efe17824fe8712b2076d7525f5a1936e5bfb1d323a9f",
         "c2a9703a965fa9a1dc3dd79cf05440e24fa9b0c1c12b313d0b0979aef29a1502"),
     ("small", "0.6"): (
-        "a7d169bf127857050e5ecf8c8dce97b805651d74e980dfeca15af20d27f006ce",
-        "2cddda98d614f84a51837c8ec6b20ef2b553312d20469fed0abdf5e99a719984",
+        "8185fca207049b30d71aac42bbab1e9c69daf36c653b0a34acc5344247aaeb9a",
+        "78c48a026e5289fa8286b4d8fe2aa59fabe47b98fe714a167ad877d770dcdc8f",
         "e15ec0ed582efe274ed61bc93b70ed949d856ac65d352ea4dcb590261ddf54b3"),
     ("tiny", "1"): (
         "49932c954ac2b75c53154b544351e513f0d233bc3a642bbf07095c775176a2a8",
         "b01185d1dd9bde6b2ca2b66e82dd68f57ea2e1db7039f844326afc1550a7298e",
         "6aed4c14290061099af83e976a0ac67b358253a1375b8ebd9a62ec00f13f578c"),
     ("tiny", "0.6"): (
-        "112d1fddcbf237e40f9f77c89f3465331c460d3169126fbdd9c0f8e801e1700a",
-        "34a76003485763910f088ccd626d353d21998a01f110d30a90cfb59f69ab5c55",
+        "cecc016be494aada5effc96bfbfa1e6d1bea601c3975c37ebef6d3f95f363d9a",
+        "404e7121bab62cbf332d2f0252770f92bcdf28017545d3adfdca0466eb8c0719",
         "dcb7a8dcf5bf75e9586d9c20b589a7798f9b8965acae58e5ed10ca8e985b1e87"),
 }
 
