@@ -18,6 +18,7 @@ import json
 import sys
 
 from .convex import MAX_ITER, check_max_iter
+from .exhaustive import RESTARTS
 from .generate import sample_adjacency, sample_observed
 from .graphio import read_graph, write_graph
 from .harness import (
@@ -31,7 +32,7 @@ from .harness import (
 )
 from .model import INTEGER, ConfigError, ModelConfig, check_keys, json_value
 from .presets import EXAMPLE_IDS, example_config
-from .regimes import classify, csv_cells
+from .regimes import DEFAULT_C, DEFAULT_ETA, classify, csv_cell, csv_cells
 from .spectral import concentration_experiment
 
 EXIT_OK = 0
@@ -63,9 +64,9 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         if flag in flags:
             parser.add_argument(flag, **kwargs)
     add("--seed", type=int, default=0, help="base random seed")
-    add("--constant-C", type=float, default=1.0, dest="constant_c",
+    add("--constant-C", type=float, default=DEFAULT_C, dest="constant_c",
         help="proportionality constant for the scaled conditions")
-    add("--eta", type=float, default=2.0,
+    add("--eta", type=float, default=DEFAULT_ETA,
         help="exponent margin of the search-recovery condition")
     add("--gamma", type=float, default=None, help="override the observation rate")
     add("--out", type=str, default=None, help="output file path")
@@ -196,9 +197,9 @@ def cmd_bench_spectral(args) -> int:
     if args.format == "json":
         payload = json.dumps(rows, indent=2, sort_keys=True)
     else:
-        lines = ["trial,norm,bound,ratio"]
-        lines += [f"{r['trial']},{r['norm']!r},{r['bound']!r},{r['ratio']!r}"
-                  for r in rows]
+        columns = ("trial", "norm", "bound", "ratio")
+        lines = [",".join(columns)]
+        lines += [",".join(csv_cell(r[col]) for col in columns) for r in rows]
         payload = "\n".join(lines)
     _write_or_print(payload, args.out)
     print(f"ratios: min={stats.min_ratio:.4f} mean={stats.mean_ratio:.4f} "
@@ -239,9 +240,9 @@ def _spec_from_file(path: str, args) -> ExperimentSpec:
         algorithms=tuple(_spec_field(raw, "algorithms", ["convex"], list)),
         trials=_spec_field(raw, "trials", 10, INTEGER),
         base_seed=_spec_field(raw, "base_seed", args.seed, INTEGER),
-        config_id=_spec_field(raw, "config_id", "config", str),
+        config_id=_spec_field(raw, "config_id", ExperimentSpec.config_id, str),
         max_iter=max_iter,
-        restarts=_spec_field(raw, "restarts", 10, INTEGER),
+        restarts=_spec_field(raw, "restarts", RESTARTS, INTEGER),
     )
 
 
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjacency", type=str, required=True, help="graph file")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="convex")
     p.add_argument("--max-iter", type=int, default=MAX_ITER)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench-spectral",

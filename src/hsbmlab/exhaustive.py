@@ -39,9 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import STREAM_ALGORITHM, Adjacency, config_matrix, stream_rng
-from .model import ConfigError, ModelConfig, Partition
+from .model import ConfigError, ModelConfig, Partition, clustering_matrix
 
 MAX_EXHAUSTIVE_N = 14
+# Local-search restarts when an experiment does not give its own.
+RESTARTS = 10
 # The scan expands canonical placements a chunk of rows at a time, at most
 # about this many rows per level (or one parent's placements, at most
 # C(14, 7) = 3432), so its memory does not grow with the partition count.
@@ -152,17 +154,10 @@ def _labels(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def objective(A: Adjacency, partition: Partition) -> int:
-    """Within-cluster edge mass: sum over clusters of the ordered-pair
-    adjacency total (twice the number of within-cluster edges)."""
-    m = A.matrix
-    labels = partition.labels
-    total = 0
-    for label in np.unique(labels):
-        if label == 0:
-            continue
-        members = np.flatnonzero(labels == label)
-        total += int(m[np.ix_(members, members)].sum())
-    return total
+    """Within-cluster edge mass: the adjacency total over the pairs that
+    share a cluster, as ``clustering_matrix`` marks them (twice the number
+    of within-cluster edges)."""
+    return int(A.matrix[clustering_matrix(partition).view(bool)].sum())
 
 
 def _mass_table(m: np.ndarray) -> np.ndarray:
@@ -303,7 +298,7 @@ def local_search(
     A: Adjacency,
     config: ModelConfig,
     seed: int,
-    restarts: int = 10,
+    restarts: int = RESTARTS,
 ) -> LocalSearchResult:
     """Randomly seeded best-improvement swap search; keeps the best local
     optimum over the given number of restarts, each scored by the mass its

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from ._openblas import thread_calls as openblas_thread_calls
 from .convex import MAX_ITER, check_max_iter, recover_convex
 from .counting import recover_counting
-from .exhaustive import (check_exhaustive_size, check_restarts, local_search,
-                         solve_exhaustive)
+from .exhaustive import (RESTARTS, check_exhaustive_size, check_restarts,
+                         local_search, solve_exhaustive)
 from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
 from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
 from .presets import (EXAMPLE_IDS, check_example_id, example6_reference_constants,
                       example_config)
-from .regimes import _require_positive, classify, csv_cell
+from .regimes import DEFAULT_C, DEFAULT_ETA, _require_positive, classify, csv_cell
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
 # Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
@@ -50,7 +50,7 @@ class ExperimentSpec:
     base_seed: int = 0
     config_id: str = "config"
     max_iter: int = MAX_ITER
-    restarts: int = 10
+    restarts: int = RESTARTS
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -71,14 +71,15 @@ class ExperimentSpec:
             check_restarts(self.restarts)
 
 
-def recover(algorithm: str, graph, config: ModelConfig,
-            max_iter: int = MAX_ITER, seed: int = 0, restarts: int = 10) -> Recovery:
+def recover(algorithm: str, graph, config: ModelConfig, max_iter: int = MAX_ITER,
+            seed: int = 0, restarts: int = RESTARTS) -> Recovery:
     """Run one algorithm on an Adjacency or ObservedMatrix.
 
     Partial observation: this is the one place a partial graph is
     collapsed.  An ObservedMatrix becomes an Adjacency with unobserved
-    pairs mapped to 0, and a configuration with gamma < 1 is replaced by its
-    gamma-collapsed form.  An ObservedMatrix with unobserved pairs under a
+    pairs mapped to 0, and the algorithm solves the configuration's
+    collapsed form (``ModelConfig.collapsed``, the config itself at
+    gamma = 1).  An ObservedMatrix with unobserved pairs under a
     gamma = 1 configuration is refused, since that model would read them as
     non-edges.  max_iter applies to convex only, seed and restarts to local
     search only.
@@ -91,8 +92,7 @@ def recover(algorithm: str, graph, config: ModelConfig,
                 f"has gamma = {config.gamma:g}; give the observation rate "
                 f"gamma < 1 to recover from a partially observed graph")
         graph = graph.to_adjacency(unobserved_as=0)
-    if config.gamma < 1.0:
-        config = config.collapsed()
+    config = config.collapsed()
     if algorithm == "convex":
         # max_iter goes third, by position: the benchmark's wrapper of
         # recover_convex forwards its third argument positionally.
@@ -255,8 +255,8 @@ TABLE_COLUMNS.append("note")
 
 def run_table1(
     n_grid,
-    C: float = 1.0,
-    eta: float = 2.0,
+    C: float = DEFAULT_C,
+    eta: float = DEFAULT_ETA,
     example_ids=EXAMPLE_IDS,
 ) -> list[dict]:
     """Classify each preset at each n and tabulate per-check margins.

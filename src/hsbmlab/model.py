@@ -233,8 +233,11 @@ class ModelConfig:
         """Fold the observation rate into the probabilities.
 
         Mapping unobserved pairs to 0 turns the partially observed model into
-        the fully observed one with p_k -> gamma*p_k and q -> gamma*q.
+        the fully observed one with p_k -> gamma*p_k and q -> gamma*q.  At
+        gamma = 1 the config is already that model and is returned as is.
         """
+        if self.gamma == 1.0:
+            return self
         return ModelConfig.from_runs(
             self.n, self._sizes, self.gamma * self._probs, self._counts,
             self.gamma * self.q, 1.0,
@@ -468,21 +471,9 @@ def clustering_matrix(partition: Partition) -> np.ndarray:
 
 
 def partitions_equal(a: Partition, b: Partition) -> bool:
-    """True iff the two labellings induce the same clustering matrix.
-
-    Label names are irrelevant; the isolated set (label 0) must match exactly,
-    and nonzero labels must correspond one-to-one.
-    """
-    la, lb = a.labels, b.labels
-    if la.size != lb.size:
-        raise ValueError(f"partitions have different sizes: {la.size} vs {lb.size}")
-    if not np.array_equal(la == 0, lb == 0):
-        return False
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
-    for x, y in zip(la.tolist(), lb.tolist()):
-        if x == 0:
-            continue
-        if fwd.setdefault(x, y) != y or rev.setdefault(y, x) != x:
-            return False
-    return True
+    """True iff the two labellings induce the same clustering matrix: the
+    paper's exact recovery.  Label names are irrelevant, and the isolated
+    set (label 0) must match exactly."""
+    if a.n != b.n:
+        raise ValueError(f"partitions have different sizes: {a.n} vs {b.n}")
+    return np.array_equal(clustering_matrix(a), clustering_matrix(b))

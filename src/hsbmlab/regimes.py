@@ -43,6 +43,8 @@ from .model import (
 
 ALPHA_GRID = (0.25, 0.5, 1.0, 2.0)
 O1_THRESHOLD = 0.1
+# The checker constants C and eta where a caller gives none.
+DEFAULT_C = 1.0
 DEFAULT_ETA = 2.0
 
 REGIMES = ("impossible", "simple", "easy", "hard", "unknown")
@@ -151,7 +153,7 @@ def _cluster_signal(config: ModelConfig, st: DerivedStats, log_factor,
     )
 
 
-def check_easy_clusterwise(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
+def check_easy_clusterwise(config: ModelConfig, C: float = DEFAULT_C) -> RegimeCheck:
     """Convex-recovery conditions with per-cluster log factors.
 
     (i) rho_k^2 >= C sigma_k^2 log n_k for all k; (ii) the chi-square
@@ -190,7 +192,7 @@ def check_easy_clusterwise(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
     )
 
 
-def check_easy_global(config: ModelConfig, C: float = 1.0) -> RegimeCheck:
+def check_easy_global(config: ModelConfig, C: float = DEFAULT_C) -> RegimeCheck:
     """Convex-recovery conditions with global log n factors (no size-tail
     condition; suited to comparable cluster sizes)."""
     _require_positive("C", C)
@@ -376,16 +378,16 @@ class RegimeReport:
 
 def classify(
     config: ModelConfig,
-    C: float = 1.0,
+    C: float = DEFAULT_C,
     eta: float = DEFAULT_ETA,
     config_id: str = "",
 ) -> RegimeReport:
     """Run all five checkers and resolve the regime label.
 
-    A config with gamma < 1 is checked in its gamma-collapsed form, the
-    model that recovery solves; the report keeps the config as given.
+    The checks read the config's collapsed form (``ModelConfig.collapsed``),
+    the model that recovery solves; the report keeps the config as given.
     The checks dict's order is the order of the CSV columns."""
-    model = config.collapsed() if config.gamma < 1.0 else config
+    model = config.collapsed()
     checks = {
         "easy_clusterwise": check_easy_clusterwise(model, C),
         "easy_global": check_easy_global(model, C),

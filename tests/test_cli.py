@@ -2,6 +2,8 @@
 each subcommand's outputs and exit codes, and byte-level reproducibility
 of written files."""
 
+import dataclasses
+import inspect
 import json
 import os
 import shutil
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import hsbmlab
-from hsbmlab import Adjacency, ObservedMatrix, read_graph
+from hsbmlab import (Adjacency, ObservedMatrix, cli, exhaustive, harness, model,
+                     read_graph, regimes)
 from hsbmlab.cli import main
 from hsbmlab.harness import RESULT_COLUMNS, TABLE_COLUMNS
 
@@ -873,6 +876,37 @@ class TestParser:
             main(argv + [flag, value])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_defaults_have_one_home(self, tmp_path):
+        # Each experiment default is written once, as a named constant, and
+        # every layer's default reads it.
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        fields = {f.name: f.default for f in dataclasses.fields(harness.ExperimentSpec)}
+        assert exhaustive.RESTARTS == default(exhaustive.local_search, "restarts") \
+            == default(harness.recover, "restarts") == fields["restarts"]
+        for func in (regimes.check_easy_clusterwise, regimes.check_easy_global,
+                     regimes.classify, harness.run_table1):
+            assert default(func, "C") == regimes.DEFAULT_C
+        for func in (regimes.check_hard, regimes.classify, harness.run_table1):
+            assert default(func, "eta") == regimes.DEFAULT_ETA
+
+        parse = cli.build_parser().parse_args
+        assert parse(["recover", "--adjacency", "g"]).restarts == exhaustive.RESTARTS
+        for command in ("classify", "table1"):
+            args = parse([command])
+            assert args.constant_c == regimes.DEFAULT_C
+            assert args.eta == regimes.DEFAULT_ETA
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"config": SMALL, "algorithms": ["local-search"]}))
+        spec = cli._spec_from_file(str(path), parse(["montecarlo", "--spec", str(path)]))
+        assert spec.restarts == exhaustive.RESTARTS
+        assert spec.config_id == fields["config_id"]
+
+    def test_every_failure_kind_has_an_exit_code(self):
+        assert set(cli.EXIT_CODES) == set(model.FAILURE_KINDS)
 
     @pytest.mark.skipif(shutil.which("hsbmlab") is None,
                         reason="hsbmlab console script not installed")

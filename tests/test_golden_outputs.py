@@ -226,3 +226,25 @@ def test_montecarlo_output(tmp_path, capsys, source, gamma, workers):
         stdout.add(capsys.readouterr().out)
     assert len(stdout) == 1
     assert (*files, sha256(stdout.pop())) == MONTECARLO_DIGESTS[source, gamma]
+
+
+# bench-spectral on the small config, five trials from seed 3; the CSV
+# cells are float reprs, as in every other CSV the package writes.
+# gamma -> (CSV sha256, JSON sha256)
+BENCH_SPECTRAL_DIGESTS = {
+    "1": ("d85c2160b8fe5accbf40870358bff55fe4032a24e0c622b3d8cb3544c9cf8f31",
+          "76c8b5856aefe6344bef5e9df9beb49d41c2542f6fc26133c21e063a98ffb75c"),
+    "0.5": ("bc773d8c87890674aa601314ebde45bfef2d1ceb051921fe3e05ebc36e9feb4f",
+            "6ebf064c0eb4fceea9eee7c9754279a73eeb9225d20c13510266ac7ea1fa6e69"),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(BENCH_SPECTRAL_DIGESTS))
+def test_bench_spectral_bytes(tmp_path, gamma):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    argv = ["bench-spectral", "--config", str(config), "--gamma", gamma,
+            "--trials", "5", "--seed", "3"]
+    digests = tuple(written_digest(tmp_path, [*argv, "--format", fmt])
+                    for fmt in ("csv", "json"))
+    assert digests == BENCH_SPECTRAL_DIGESTS[gamma]

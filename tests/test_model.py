@@ -162,6 +162,14 @@ class TestModelConfig:
         assert close(float(col.probs[0]), 0.45)
         assert close(col.q, 0.025)
 
+    def test_collapsed_is_the_config_itself_at_full_observation(self):
+        cfg = ModelConfig(10, [(5, 0.9)], 0.05)
+        assert cfg.collapsed() is cfg
+        partial = ModelConfig(10, [(5, 0.9)], 0.05, gamma=0.6)
+        col = partial.collapsed()
+        assert col is not partial
+        assert col == ModelConfig(10, [(5, 0.6 * 0.9)], 0.6 * 0.05)
+
     def test_planted_partition(self):
         cfg = ModelConfig(9, [(3, 0.9), (4, 0.8)], 0.05)
         part = cfg.planted_partition()
