@@ -134,6 +134,11 @@ def _write_or_print(text: str, out: str | None) -> None:
     _on_file("--out", out, write)
 
 
+def _csv_text(columns, rows) -> str:
+    """The column names, then a line per row of csv_cell values; no final newline."""
+    return "\n".join([",".join(columns)] + [",".join(map(csv_cell, row)) for row in rows])
+
+
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
     partition = config.planted_partition()
@@ -153,7 +158,7 @@ def cmd_classify(args) -> int:
         payload = report.to_json()
     else:
         columns, cells = zip(*csv_cells(report))
-        payload = ",".join(columns) + "\n" + ",".join(cells)
+        payload = _csv_text(columns, [cells])
     _write_or_print(payload, args.out)
     if args.out is not None:
         print(f"regime={report.regime}")
@@ -182,8 +187,7 @@ def cmd_recover(args) -> int:
             payload = json.dumps({"algorithm": args.algorithm, "labels": labels},
                                  indent=2, sort_keys=True)
         else:
-            lines = ["node,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
-            payload = "\n".join(lines)
+            payload = _csv_text(("node", "label"), enumerate(labels))
         _write_or_print(payload, args.out)
     if rec.detail:
         print(rec.detail, file=sys.stderr)
@@ -198,9 +202,7 @@ def cmd_bench_spectral(args) -> int:
         payload = json.dumps(rows, indent=2, sort_keys=True)
     else:
         columns = ("trial", "norm", "bound", "ratio")
-        lines = [",".join(columns)]
-        lines += [",".join(csv_cell(r[col]) for col in columns) for r in rows]
-        payload = "\n".join(lines)
+        payload = _csv_text(columns, ([r[col] for col in columns] for r in rows))
     _write_or_print(payload, args.out)
     print(f"ratios: min={stats.min_ratio:.4f} mean={stats.mean_ratio:.4f} "
           f"max={stats.max_ratio:.4f}")

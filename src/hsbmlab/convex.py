@@ -25,7 +25,7 @@ not 1: every clustering matrix in the body scores an integer of one
 parity (``VALUE_STEP``).  The spectral projection rebuilds its result from
 the eigenpairs the shrink keeps, and computes only those eigenvectors,
 with the LAPACK routines of the OpenBLAS that numpy links (a full ``eigh``
-where they are missing).  Every rounding, the certificate's and the
+where one is missing or fails).  Every rounding, the certificate's and the
 final one, is ``round_solution``: threshold entrywise and require every
 connected component to be a clique.  ``recover_convex`` also requires the
 cluster sizes to be the configured ones and a certificate; otherwise the
@@ -69,22 +69,25 @@ CERTIFICATE_SLACK = 1e-3
 class SolverResult:
     """Final iterate of the splitting method plus diagnostics.
 
-    converged: the solve stopped before max_iter, on the certificate or the
-    change test; certified: on the certificate, Y then being the clustering
-    matrix Y_P it proves (else Y is the last box-feasible iterate).  gap is
-    the last computed dual bound minus <A + I, Y_P>, Y_P the clustering
-    matrix of the rounded iterate; inf when no iterate rounded to a
-    clustering matrix in the body.  A certified result's gap is below
-    VALUE_STEP less CERTIFICATE_SLACK.
+    converged: the solve stopped on the certificate or the change test (a
+    last change of at most TOL_CHANGE); certified: on the certificate, Y
+    then being the clustering matrix Y_P it proves (else Y is the last
+    box-feasible iterate).  gap is the last computed dual bound minus
+    <A + I, Y_P>, Y_P the clustering matrix of the rounded iterate; inf
+    when no iterate rounded to a clustering matrix in the body.  A
+    certified result's gap is below VALUE_STEP less CERTIFICATE_SLACK.
     """
 
     Y: np.ndarray
     iterations: int
-    converged: bool
     certified: bool
     change: float
     objective: float
     gap: float = math.inf
+
+    @property
+    def converged(self) -> bool:
+        return self.certified or self.change <= TOL_CHANGE
 
 
 def check_max_iter(max_iter: int = MAX_ITER) -> int:
@@ -114,26 +117,11 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
-def _rebuild(V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(V * w) @ V.T, symmetrized."""
-    out = (V * w) @ V.T
-    return (out + out.T) / 2.0
-
-
-def _project_nuclear_eigh(M: np.ndarray, radius: float) -> np.ndarray:
-    """project_nuclear_ball from a full eigendecomposition."""
-    w, V = np.linalg.eigh(M)
-    if np.abs(w).sum() <= radius:
-        return M.copy()
-    w_proj = _project_l1_ball(w, radius)
-    kept = np.flatnonzero(w_proj)
-    return _rebuild(V[:, kept], w_proj[kept])
-
-
-def _project_nuclear_kept(M: np.ndarray, radius: float) -> np.ndarray | None:
-    """project_nuclear_ball computing only the kept eigenvectors, on the
-    route of LAPACK's dsyevx, or None where numpy's OpenBLAS lacks a
-    routine or one reports failure (INFO != 0)."""
+def _lapack_eigenpairs(M: np.ndarray):
+    """Every eigenvalue of M, ascending, and a function giving the kept
+    ones' eigenvectors alone (columns, for indices into the eigenvalues),
+    on the route of LAPACK's dsyevx; None, or None from the function, where
+    numpy's OpenBLAS lacks a routine or one reports failure (INFO != 0)."""
     routines = (_openblas.lapack("dsytrd", 10, 1), _openblas.lapack("dsterf", 4),
                 _openblas.lapack("dstein", 13), _openblas.lapack("dormtr", 13, 3))
     n = len(M)
@@ -149,41 +137,57 @@ def _project_nuclear_kept(M: np.ndarray, radius: float) -> np.ndarray | None:
     w, scratch = d.copy(), e.copy()  # dsterf overwrites both
     if sterf(n, w, scratch):  # every eigenvalue, ascending
         return None
-    if np.abs(w).sum() <= radius:
-        return M.copy()
-    w_proj = _project_l1_ball(w, radius)
-    kept = np.flatnonzero(w_proj)
-    k = kept.size
-    # Inverse iteration on T for the kept eigenvalues, T taken as one block
-    # even where it splits (dstein orthogonalizes the vectors of close
-    # eigenvalues within a block); then V = Q Z, applying the reflectors
-    # to the k columns only.
-    Z = np.empty((n, k), order="F")
-    if stein(n, d, e, k, w[kept], np.ones(k, dtype=np.int64), np.full(n, n),
-             Z, n, np.empty(5 * n), np.empty(n, dtype=np.int64),
-             np.empty(k, dtype=np.int64)):
-        return None
-    if _openblas.with_workspace(ormtr, "L", "L", "N", n, k, a, n, tau, Z, n):
-        return None
-    return _rebuild(Z, w_proj[kept])
+
+    def vectors(kept: np.ndarray) -> np.ndarray | None:
+        # Inverse iteration on T for the kept eigenvalues, T taken as one
+        # block even where it splits (dstein orthogonalizes the vectors of
+        # close eigenvalues within a block); then V = Q Z, applying the
+        # reflectors to the k columns only.
+        k = kept.size
+        Z = np.empty((n, k), order="F")
+        if (stein(n, d, e, k, w[kept], np.ones(k, dtype=np.int64), np.full(n, n),
+                  Z, n, np.empty(5 * n), np.empty(n, dtype=np.int64),
+                  np.empty(k, dtype=np.int64))
+                or _openblas.with_workspace(ormtr, "L", "L", "N", n, k, a, n, tau, Z, n)):
+            return None
+        return Z
+
+    return w, vectors
+
+
+def _eigh_eigenpairs(M: np.ndarray):
+    """What _lapack_eigenpairs gives, from a full eigendecomposition, never None."""
+    w, V = np.linalg.eigh(M)
+    return w, lambda kept: V[:, kept]
 
 
 def project_nuclear_ball(M: np.ndarray, radius: float) -> np.ndarray:
     """Frobenius projection of a symmetric matrix onto {||Y||_* <= radius}:
-    project the spectrum onto the l1 ball, then rebuild from the kept
-    eigenpairs alone, those whose projected eigenvalue is nonzero.
+    project the spectrum onto the l1 ball, then rebuild (V * w_proj) @ V.T,
+    symmetrized, from the kept eigenpairs alone, those whose projected
+    eigenvalue is nonzero (exact zeros when none is kept).
 
     The shrink zeroes most of them, so only the kept eigenvectors are
     computed: reduce M to tridiagonal T = Q^T M Q (dsytrd), take every
     eigenvalue of T without vectors (dsterf), find T's eigenvectors for
     the kept ones by inverse iteration (dstein) and apply Q to those k
     columns alone (dormtr).  Where numpy's OpenBLAS does not export these
-    routines, or one reports failure, the projection takes the full
-    eigendecomposition (eigh) instead; both rebuild (V * w_proj) @ V.T
-    from the kept columns, symmetrized, exact zeros when none is kept.
+    routines, or one reports failure, the projection starts again from a
+    full eigendecomposition (eigh) and its own eigenvalues.
     """
-    out = _project_nuclear_kept(M, radius)
-    return _project_nuclear_eigh(M, radius) if out is None else out
+    for eigenpairs in (_lapack_eigenpairs, _eigh_eigenpairs):
+        found = eigenpairs(M)
+        if found is None:
+            continue
+        w, vectors = found
+        if np.abs(w).sum() <= radius:
+            return M.copy()
+        w_proj = _project_l1_ball(w, radius)
+        kept = np.flatnonzero(w_proj)
+        V = vectors(kept)
+        if V is not None:  # None only after a LAPACK failure
+            out = (V * w_proj[kept]) @ V.T
+            return (out + out.T) / 2.0
 
 
 def project_box_sum(M: np.ndarray, total: float) -> np.ndarray:
@@ -311,14 +315,13 @@ def solve_convex(
             Y_P, value, gap = found
             if gap < VALUE_STEP - CERTIFICATE_SLACK:
                 return SolverResult(Y=Y_P.astype(float), iterations=iterations,
-                                    converged=True, certified=True, change=change,
-                                    objective=value, gap=gap)
+                                    certified=True, change=change, objective=value,
+                                    gap=gap)
         diff *= RELAXATION
         Z += diff
         if change <= TOL_CHANGE:
             break
-    return SolverResult(Y=W, iterations=iterations, converged=change <= TOL_CHANGE,
-                        certified=False, change=change,
+    return SolverResult(Y=W, iterations=iterations, certified=False, change=change,
                         objective=float(np.tensordot(a, W)), gap=gap)
 
 

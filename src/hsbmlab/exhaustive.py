@@ -248,8 +248,8 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
     for the 0/1 adjacency.  Returns the final labels, their mass (their
     ``objective``, read off D) and the number of swaps.
 
-    D[x, g] caches node x's adjacency mass into label group g.  With
-    R[x, g] = [g > 0] D[x, g] - [x clustered] D[x, label x] and
+    D[x, g] caches node x's adjacency mass into label group g > 0, and
+    D[x, 0] = 0.  With R[x, g] = D[x, g] - D[x, label x] and
     H[u, v] = R[u, label v] - [v clustered] m[u, v], swapping the labels
     of u and v changes the (unordered) mass by G[u, v] = H[u, v] + H[v, u].
     D lies in [0, max row sum], R and H in [-(max row sum + max entry),
@@ -268,17 +268,15 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
     # float64 products (BLAS) are exact below 2**53, which holds every
     # int16 and int32 bound.
     onehot = np.zeros((r + 1, n))
-    onehot[labels, nodes] = 1
+    onehot[labels, nodes] = labels != 0  # row 0 stays zero
     DT = (onehot @ m).astype(m.dtype)  # = (m @ onehot^T)^T, m being symmetric
     # m with the rows of isolated nodes zeroed, so that
     # H^T = R^T[labels] - m_clustered.
     m_clustered = m * (labels != 0)[:, None]
     swaps = 0
     while True:
-        own = DT[labels, nodes] * (labels != 0)
-        RT = DT - own
-        RT[0] = -own
-        HT = RT[labels]
+        own = DT[labels, nodes]
+        HT = (DT - own)[labels]
         HT -= m_clustered
         gain = HT + HT.T
         u, v = divmod(int(np.argmax(gain)), n)
@@ -286,9 +284,11 @@ def _hill_climb(m: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, 
             return labels, int(own.sum()), swaps
         a, b = labels[u], labels[v]
         labels[u], labels[v] = b, a
-        DT[a] += m[v] - m[u]
-        DT[b] += m[u] - m[v]
+        d = m[v] - m[u]
+        DT[a] += d
+        DT[b] -= d
         if not (a and b):
+            DT[0] = 0
             m_clustered[u] = m[u] if b else 0
             m_clustered[v] = m[v] if a else 0
         swaps += 1

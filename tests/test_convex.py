@@ -216,11 +216,12 @@ class TestNuclearProjection:
     @settings(max_examples=200, deadline=None)
     def test_matches_bisection_oracle_on_drawn_inputs(self, case):
         M, radius = case
-        P = project_nuclear_ball(M, radius)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            P = project_nuclear_ball(M, radius)
         assert np.abs(P - oracle_nuclear_projection(M, radius)).max() < 1e-8
         assert nuclear_norm(P) <= radius * (1.0 + 1e-9) + 1e-12
         if SCIPY_OPENBLAS:  # the LAPACK route computed P, with no fallback
-            assert np.array_equal(P, convex._project_nuclear_kept(M, radius))
+            eigh.assert_not_called()
 
     def test_optimality_against_feasible_probes(self):
         rng = np.random.default_rng(2)
@@ -825,18 +826,32 @@ class TestLapackRoute:
         monkeypatch.setattr(_openblas, "lapack", no_lapack)
         self.assert_eigh_bytes()
 
-    def test_dstein_failure_takes_eigh(self, monkeypatch):
+    def assert_failure_takes_eigh(self, monkeypatch, routine, info):
+        """The routine reports INFO = info on its first call; the projection
+        starts again from eigh, which runs once."""
         bound = _openblas.lapack
         calls = []
 
-        def failing_dstein(*args):
+        def failing(*args):
             calls.append(args)
-            return 1  # INFO > 0: an eigenvector failed to converge
+            return info
 
         monkeypatch.setattr(_openblas, "lapack", lambda name, *signature: (
-            failing_dstein if name == "dstein" else bound(name, *signature)))
+            failing if name == routine else bound(name, *signature)))
         self.assert_eigh_bytes()
         assert len(calls) == (1 if SCIPY_OPENBLAS else 0)
+
+    def test_dstein_failure_takes_eigh(self, monkeypatch):
+        # INFO > 0: an eigenvector failed to converge
+        self.assert_failure_takes_eigh(monkeypatch, "dstein", 1)
+
+    @pytest.mark.parametrize("routine, info", [
+        ("dsytrd", -1),  # INFO < 0: an illegal argument
+        ("dsterf", 1),  # INFO > 0: the QL/QR iteration failed
+        ("dormtr", -1),  # INFO < 0: an illegal argument
+    ])
+    def test_failure_takes_eigh(self, monkeypatch, routine, info):
+        self.assert_failure_takes_eigh(monkeypatch, routine, info)
 
     @pytest.mark.skipif(not SCIPY_OPENBLAS, reason="numpy is not linked to scipy-openblas")
     def test_solve_never_calls_eigh(self):
