@@ -19,11 +19,11 @@ import sys
 
 from .convex import MAX_ITER, check_max_iter
 from .exhaustive import RESTARTS
-from .generate import sample_adjacency, sample_observed
-from .graphio import read_graph, write_graph
+from .graphio import csv_text, json_text, read_graph, table_text, write_graph, write_text
 from .harness import (
     ALGORITHMS,
     ExperimentSpec,
+    draw_graph,
     recover,
     run_monte_carlo,
     run_table1,
@@ -32,7 +32,7 @@ from .harness import (
 )
 from .model import INTEGER, ConfigError, ModelConfig, check_keys, json_value
 from .presets import EXAMPLE_IDS, example_config
-from .regimes import DEFAULT_C, DEFAULT_ETA, classify, csv_cell, csv_cells
+from .regimes import DEFAULT_C, DEFAULT_ETA, classify, csv_cells
 from .spectral import concentration_experiment
 
 EXIT_OK = 0
@@ -124,28 +124,18 @@ def _with_gamma(config: ModelConfig, gamma: float | None) -> ModelConfig:
 
 
 def _write_or_print(text: str, out: str | None) -> None:
+    """Write text, as it is, to the --out file or else to stdout."""
     if out is None:
-        print(text)
-        return
-
-    def write(path):
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    _on_file("--out", out, write)
-
-
-def _csv_text(columns, rows) -> str:
-    """The column names, then a line per row of csv_cell values; no final newline."""
-    return "\n".join([",".join(columns)] + [",".join(map(csv_cell, row)) for row in rows])
+        sys.stdout.write(text)
+    else:
+        _on_file("--out", out, lambda path: write_text(path, text))
 
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
-    partition = config.planted_partition()
     if args.out is None:
         raise ConfigError("generate requires --out")
-    sample = sample_observed if config.gamma < 1.0 else sample_adjacency
-    graph = sample(config, partition, args.seed)
+    graph = draw_graph(config, config.planted_partition(), args.seed)
     _on_file("--out", args.out, lambda path: write_graph(path, graph))
     print(f"wrote {args.out} (n={config.n}, gamma={config.gamma:g}, seed={args.seed})")
     return EXIT_OK
@@ -158,7 +148,7 @@ def cmd_classify(args) -> int:
         payload = report.to_json()
     else:
         columns, cells = zip(*csv_cells(report))
-        payload = _csv_text(columns, [cells])
+        payload = csv_text(columns, [cells], "\n")
     _write_or_print(payload, args.out)
     if args.out is not None:
         print(f"regime={report.regime}")
@@ -166,11 +156,12 @@ def cmd_classify(args) -> int:
 
 
 def _max_iter(fields) -> int:
-    """max_iter from a mapping of user input, its only field; a non-mapping,
-    any other field or an out-of-range value is a ConfigError."""
+    """max_iter from a JSON object of user input, its only field; a
+    non-object, any other field or an out-of-range value is a ConfigError."""
     try:
-        return check_max_iter(**fields)
-    except (TypeError, ValueError) as exc:
+        check_keys(json_value(fields, dict, "spec field 'solver'"), ("max_iter",), "solver")
+        return check_max_iter(fields.get("max_iter", MAX_ITER))
+    except ConfigError as exc:
         raise ConfigError(f"solver options: {exc}") from exc
 
 
@@ -184,10 +175,9 @@ def cmd_recover(args) -> int:
     if rec.partition is not None:
         labels = rec.partition.labels.tolist()
         if args.format == "json":
-            payload = json.dumps({"algorithm": args.algorithm, "labels": labels},
-                                 indent=2, sort_keys=True)
+            payload = json_text({"algorithm": args.algorithm, "labels": labels})
         else:
-            payload = _csv_text(("node", "label"), enumerate(labels))
+            payload = csv_text(("node", "label"), enumerate(labels), "\n")
         _write_or_print(payload, args.out)
     if rec.detail:
         print(rec.detail, file=sys.stderr)
@@ -197,13 +187,8 @@ def cmd_recover(args) -> int:
 def cmd_bench_spectral(args) -> int:
     config = _config_from_args(args)
     stats = concentration_experiment(config, trials=args.trials, seed=args.seed)
-    rows = stats.rows()
-    if args.format == "json":
-        payload = json.dumps(rows, indent=2, sort_keys=True)
-    else:
-        columns = ("trial", "norm", "bound", "ratio")
-        payload = _csv_text(columns, ([r[col] for col in columns] for r in rows))
-    _write_or_print(payload, args.out)
+    columns = ("trial", "norm", "bound", "ratio")
+    _write_or_print(table_text(stats.rows(), columns, args.format, "\n"), args.out)
     print(f"ratios: min={stats.min_ratio:.4f} mean={stats.mean_ratio:.4f} "
           f"max={stats.max_ratio:.4f}")
     return EXIT_OK
@@ -254,7 +239,7 @@ def cmd_montecarlo(args) -> int:
     if args.out is not None:
         _on_file("--out", args.out, lambda path: write_results(
             result.rows, path, fmt=args.format, include_timings=args.timings))
-    print(json.dumps(result.summary, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(result.summary))
     return EXIT_OK
 
 

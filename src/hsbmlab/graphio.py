@@ -15,10 +15,15 @@ read_graph tells the formats apart by the arity of the first pair line,
 refuses a header whose n is not the config's before it allocates the n x n
 matrix, and refuses a pair listed twice.  write_graph emits pairs in row-major
 upper-triangle order, so output bytes are a pure function of the matrix.
+The package's CSV and JSON text come from ``csv_text``, ``json_text`` and,
+for row tables, ``table_text``; ``write_text`` writes every text artifact.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,45 @@ class GraphFormatError(ValueError):
     """Raised for malformed edge-list files."""
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: booleans in lower case, floats as their exact repr."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text(columns, rows, lineterminator: str) -> str:
+    """The column names, then a line per row of csv_cell values, each ended by
+    lineterminator; a cell holding a comma, quote or line break is quoted."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=lineterminator).writerows(
+        [columns, *(map(csv_cell, row) for row in rows)])
+    return buffer.getvalue()
+
+
+def json_text(value) -> str:
+    """value as indented JSON with sorted keys, ending with a newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def table_text(dicts: list[dict], columns, fmt: str, lineterminator: str) -> str:
+    """Row dicts as CSV text (the given columns, in order) or as JSON text."""
+    if fmt == "csv":
+        rows = ([d.get(col, "") for col in columns] for d in dicts)
+        return csv_text(columns, rows, lineterminator)
+    if fmt == "json":
+        return json_text(dicts)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def write_text(path, text: str) -> None:
+    """Write an artifact's text to path as it is, line endings included."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_graph(path, graph: Adjacency | ObservedMatrix) -> None:
     """Write an Adjacency as its edges ('i j') or an ObservedMatrix as its
     observed pairs ('i j v')."""
@@ -37,10 +81,9 @@ def write_graph(path, graph: Adjacency | ObservedMatrix) -> None:
     m = graph.values if observed else graph.matrix
     iu, ju = np.nonzero(np.triu(m != (UNOBSERVED if observed else 0), k=1))
     columns = (iu, ju, m[iu, ju]) if observed else (iu, ju)
-    with open(path, "w") as fh:
-        fh.write(f"{graph.n} {iu.size}\n")
-        for pair in zip(*(col.tolist() for col in columns)):
-            fh.write(" ".join(map(str, pair)) + "\n")
+    pairs = zip(*(col.tolist() for col in columns))
+    lines = [f"{graph.n} {iu.size}", *(" ".join(map(str, pair)) for pair in pairs)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_header(lines: list[str]) -> int:

@@ -13,8 +13,6 @@ requested, keeping file bytes run-invariant.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import threading
 import time
@@ -28,10 +26,11 @@ from .counting import recover_counting
 from .exhaustive import (RESTARTS, check_exhaustive_size, check_restarts,
                          local_search, solve_exhaustive)
 from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
+from .graphio import table_text, write_text
 from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
 from .presets import (EXAMPLE_IDS, check_example_id, example6_reference_constants,
                       example_config)
-from .regimes import DEFAULT_C, DEFAULT_ETA, _require_positive, classify, csv_cell
+from .regimes import DEFAULT_C, DEFAULT_ETA, _require_positive, classify
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
 # Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
@@ -75,14 +74,15 @@ def recover(algorithm: str, graph, config: ModelConfig, max_iter: int = MAX_ITER
             seed: int = 0, restarts: int = RESTARTS) -> Recovery:
     """Run one algorithm on an Adjacency or ObservedMatrix.
 
-    Partial observation: this is the one place a partial graph is
-    collapsed.  An ObservedMatrix becomes an Adjacency with unobserved
-    pairs mapped to 0, and the algorithm solves the configuration's
-    collapsed form (``ModelConfig.collapsed``, the config itself at
-    gamma = 1).  An ObservedMatrix with unobserved pairs under a
+    Partial observation: an ObservedMatrix becomes an Adjacency with
+    unobserved pairs mapped to 0, and the algorithm solves the
+    configuration's collapsed form (``ModelConfig.collapsed``, the config
+    itself at gamma = 1).  An ObservedMatrix with unobserved pairs under a
     gamma = 1 configuration is refused, since that model would read them as
-    non-edges.  max_iter applies to convex only, seed and restarts to local
-    search only.
+    non-edges.  ``spectral.concentration_experiment`` collapses its draws
+    too; the two agree, as both call ``to_adjacency(unobserved_as=0)`` on
+    the same stream-0 edges.  max_iter applies to convex only, seed and
+    restarts to local search only.
     """
     if isinstance(graph, ObservedMatrix):
         unobserved = int((graph.values == UNOBSERVED).sum()) // 2
@@ -127,15 +127,20 @@ class ResultRow:
     wall_time: float
 
 
+def draw_graph(config: ModelConfig, planted, seed: int):
+    """The seeded draw of a config: an ObservedMatrix when gamma < 1, else an
+    Adjacency, from the samplers bound in this module (the benchmark's taps)."""
+    return (sample_observed if config.gamma < 1.0 else sample_adjacency)(config, planted, seed)
+
+
 def run_trial(spec: ExperimentSpec, algorithm: str, trial: int) -> ResultRow:
     """Run one algorithm on one seeded draw, timing only the recovery.
     With gamma < 1 the draw is an ObservedMatrix, handed as it is to
-    recover, the one place a partial graph is collapsed."""
+    recover, which collapses it."""
     config = spec.config
     seed = spec.base_seed + trial
     planted = config.planted_partition()
-    sample = sample_observed if config.gamma < 1.0 else sample_adjacency
-    graph = sample(config, planted, seed)
+    graph = draw_graph(config, planted, seed)
 
     start = time.perf_counter()
     rec = recover(algorithm, graph, config, spec.max_iter, seed, spec.restarts)
@@ -312,38 +317,13 @@ RESULT_COLUMNS = ["config_id", "algorithm", "trial", "seed", "success",
                   "failure_kind", "objective"]
 
 
-def rows_to_dicts(rows, include_timings: bool = False) -> list[dict]:
-    out = []
-    for row in rows:
-        d = {col: getattr(row, col) for col in RESULT_COLUMNS}
-        if include_timings:
-            d["wall_time"] = row.wall_time
-        out.append(d)
-    return out
-
-
-def write_dicts(dicts: list[dict], path, fmt: str, columns: list[str]) -> None:
-    """Write dicts as csv (the given columns, in order) or as json."""
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for d in dicts:
-                writer.writerow([csv_cell(d.get(col, "")) for col in columns])
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(dicts, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
 def write_results(rows, path, fmt: str = "csv", include_timings: bool = False) -> None:
-    """Persist Monte Carlo rows; timings are opt-in so that files are
-    byte-identical across reruns."""
+    """Persist Monte Carlo rows, as CSV with CRLF line endings or as JSON;
+    timings are opt-in so that files are byte-identical across reruns."""
     columns = RESULT_COLUMNS + (["wall_time"] if include_timings else [])
-    write_dicts(rows_to_dicts(rows, include_timings), path, fmt, columns)
+    dicts = [{col: getattr(row, col) for col in columns} for row in rows]
+    write_text(path, table_text(dicts, columns, fmt, "\r\n"))
 
 
 def write_table1(rows: list[dict], path, fmt: str = "csv") -> None:
-    write_dicts(rows, path, fmt, TABLE_COLUMNS)
+    write_text(path, table_text(rows, TABLE_COLUMNS, fmt, "\r\n"))

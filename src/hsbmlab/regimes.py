@@ -26,12 +26,12 @@ is satisfied (for ``>=``-type conditions score = lhs/(C*rhs); for
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .graphio import csv_cell, json_text
 from .model import (
     ConfigError,
     DerivedStats,
@@ -373,7 +373,7 @@ class RegimeReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
 
 def classify(
@@ -410,15 +410,6 @@ def classify(
         },
         config_id=config_id,
     )
-
-
-def csv_cell(value) -> str:
-    """One CSV cell: booleans in lower case, floats as their exact repr."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def csv_cells(report: RegimeReport) -> list[tuple[str, str]]:

@@ -516,6 +516,22 @@ class TestMonteCarlo:
         assert "max_iters" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("solver, reason", [
+        ({"max_iters": 5},
+         "unknown solver keys ['max_iters']; known: ['max_iter']"),
+        ([5], "spec field 'solver' must be an object, got [5]"),
+    ], ids=["unknown-key", "list"])
+    def test_solver_entry_read_with_spec_rules(self, tmp_path, capsys, solver, reason):
+        # Once a TypeError from a ** call, naming check_max_iter.
+        path = tmp_path / "solver_spec.json"
+        path.write_text(json.dumps({"config": SMALL, "algorithms": ["convex"],
+                                    "trials": 1, "solver": solver}))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: solver options: {reason}\n"
+        assert "check_max_iter" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", [5.0, True])
     def test_non_integer_max_iter_exits_2(self, tmp_path, capsys, value):
         path = tmp_path / "max_iter_spec.json"

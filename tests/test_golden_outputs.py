@@ -7,7 +7,9 @@ column order, float reprs, JSON key order and line endings.  The same
 holds for `generate` files, fully observed (gamma = 1) and partial, and
 for what `recover` prints on them: its exit code and the sha256 of its
 stdout and stderr, and for `montecarlo`'s CSV and JSON row files and its
-stdout summary, which must not depend on the worker count.
+stdout summary, which must not depend on the worker count.  The trend
+table is pinned as CSV and JSON, and on a row whose note must be quoted;
+`classify` and `bench-spectral` are pinned on stdout too.
 `tests/data/frozen_regimes.json` compares the same numbers at 1e-12 and
 would not see a last-bit change.  The digests were recorded with
 numpy 2.4 on x86-64 Linux; a different libm may move the last bits of
@@ -74,6 +76,38 @@ def test_classify_bytes(tmp_path, example, n, fmt):
 def test_table1_bytes(tmp_path):
     digest = written_digest(tmp_path, ["table1", "--n-grid", TABLE1_GRID])
     assert digest == TABLE1_DIGEST
+
+
+# The trend table as JSON (bare NaN tokens included), and a CSV row whose
+# note holds commas, so csv.writer must quote that cell.
+TABLE1_JSON_DIGEST = "2284378a1ab3febd43fd412307f3743572f21c374704f8b2f087eb97f3bc25ca"
+TABLE1_QUOTED_DIGEST = "d2db2cb94095ecde8a55537fa81bbea93967a4da8724df330cceb3592fe23eab"
+
+
+def test_table1_json_bytes(tmp_path):
+    digest = written_digest(tmp_path, ["table1", "--n-grid", TABLE1_GRID,
+                                       "--format", "json"])
+    assert digest == TABLE1_JSON_DIGEST
+
+
+def test_table1_quoted_note_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["table1", "--n-grid", "1e19", "--examples", "1",
+                 "--out", str(out)]) == 0
+    assert b',"example 1 infeasible at n = ' in out.read_bytes()
+    assert sha256(out.read_bytes()) == TABLE1_QUOTED_DIGEST
+
+
+@pytest.mark.parametrize("example, n, fmt",
+                         sorted(key for key in CLASSIFY_DIGESTS if key[1] == 10**4))
+def test_classify_stdout_matches_file(capsys, example, n, fmt):
+    # Without --out, classify prints the bytes it would write.
+    argv = ["classify", "--example", str(example), "--n", str(n), "--format", fmt]
+    if example == 6:
+        for name, value in example6_reference_constants(n).items():
+            argv += ["--constant", f"{name}={value!r}"]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == CLASSIFY_DIGESTS[example, n, fmt]
 
 
 # Two clusters and 10 isolated nodes on 60 nodes; preset 3 at n = 200 has
@@ -248,3 +282,19 @@ def test_bench_spectral_bytes(tmp_path, gamma):
     digests = tuple(written_digest(tmp_path, [*argv, "--format", fmt])
                     for fmt in ("csv", "json"))
     assert digests == BENCH_SPECTRAL_DIGESTS[gamma]
+
+
+# bench-spectral's CSV on stdout, followed by its ratios line.
+BENCH_SPECTRAL_STDOUT_DIGESTS = {
+    "1": "edf4f449ff64b9d7fe22b81bb791304fc69dbcc2a51da03d4e477966aad31c09",
+    "0.5": "d043ade9f31dd2aa22e0f810f471ffbb697267857acd551be4ead0bfcbbeb2c1",
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(BENCH_SPECTRAL_STDOUT_DIGESTS))
+def test_bench_spectral_stdout(tmp_path, capsys, gamma):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert main(["bench-spectral", "--config", str(config), "--gamma", gamma,
+                 "--trials", "5", "--seed", "3"]) == 0
+    assert sha256(capsys.readouterr().out) == BENCH_SPECTRAL_STDOUT_DIGESTS[gamma]

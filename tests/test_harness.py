@@ -24,6 +24,7 @@ from hsbmlab import (
     example6_reference_constants,
     objective,
     partitions_equal,
+    read_graph,
     recover_convex,
     run_monte_carlo,
     run_table1,
@@ -197,6 +198,32 @@ class TestRunTrial:
         drawn = sample_observed(config, config.planted_partition(), 0)
         assert len(seen) == 1 and isinstance(seen[0], ObservedMatrix)
         assert np.array_equal(seen[0].values, drawn.values)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.6])
+    def test_generate_writes_the_trial_draw(self, monkeypatch, tmp_path, gamma):
+        # generate and run_trial draw through harness's samplers, the
+        # benchmark's trace points, so a spy on them sees both draws, and
+        # the file holds the graph that trial 2 at base seed 5 recovers.
+        calls = []
+        for name in ("sample_adjacency", "sample_observed"):
+            def spy(config, planted, seed, _name=name, _sample=getattr(harness, name)):
+                calls.append((_name, seed, _sample(config, planted, seed)))
+                return calls[-1][2]
+            monkeypatch.setattr(harness, name, spy)
+        config = ModelConfig.from_runs(SMALL.n, *SMALL.runs, SMALL.q, gamma)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "graph.txt"
+        assert cli.main(["generate", "--config", str(config_path), "--seed", "7",
+                         "--out", str(out)]) == 0
+        run_trial(ExperimentSpec(config, ("counting",), trials=3, base_seed=5),
+                  "counting", 2)
+        sampler = "sample_observed" if gamma < 1.0 else "sample_adjacency"
+        assert [call[:2] for call in calls] == [(sampler, 7), (sampler, 7)]
+        written, drawn = read_graph(out, SMALL.n), calls[1][2]
+        assert type(written) is type(drawn)
+        cells = (lambda g: g.values) if gamma < 1.0 else (lambda g: g.matrix)
+        assert np.array_equal(cells(written), cells(drawn))
 
     def test_unknown_algorithm_at_run_time(self):
         spec = ExperimentSpec(SMALL, ("convex",), trials=1)
