@@ -42,9 +42,11 @@ from .generate import (
 from .graphio import GraphFormatError, read_graph, write_graph
 from .harness import (
     ALGORITHMS,
+    ConcentrationStats,
     ExperimentSpec,
     MonteCarloResult,
     ResultRow,
+    concentration_experiment,
     run_monte_carlo,
     run_table1,
     run_trial,
@@ -75,11 +77,7 @@ from .regimes import (
     check_simple,
     classify,
 )
-from .spectral import (
-    ConcentrationStats,
-    block_split_bound,
-    concentration_experiment,
-)
+from .spectral import block_split_bound
 
 __version__ = "0.1.0"
 

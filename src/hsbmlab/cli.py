@@ -22,18 +22,18 @@ from .exhaustive import RESTARTS
 from .graphio import csv_text, json_text, read_graph, table_text, write_graph, write_text
 from .harness import (
     ALGORITHMS,
+    TABLE_COLUMNS,
     ExperimentSpec,
+    concentration_experiment,
     draw_graph,
     recover,
     run_monte_carlo,
     run_table1,
     write_results,
-    write_table1,
 )
 from .model import INTEGER, ConfigError, ModelConfig, check_keys, json_value
 from .presets import EXAMPLE_IDS, example_config
 from .regimes import DEFAULT_C, DEFAULT_ETA, classify, csv_cells
-from .spectral import concentration_experiment
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -268,12 +268,8 @@ def cmd_table1(args) -> int:
     example_ids = tuple(_int_list("--examples", args.examples, int))
     rows = run_table1(n_grid, C=args.constant_c, eta=args.eta,
                       example_ids=example_ids)
-    if args.out is None:
-        for row in rows:
-            print(row)
-    else:
-        _on_file("--out", args.out,
-                 lambda path: write_table1(rows, path, fmt=args.format))
+    _write_or_print(table_text(rows, TABLE_COLUMNS, args.format, "\r\n"), args.out)
+    if args.out is not None:
         print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 

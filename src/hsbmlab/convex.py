@@ -365,7 +365,8 @@ def recover_convex(
     tightest nuclear ball that still contains them all.
     """
     check_node_count(A.n, config.n)
-    sum_target = sum(int(s) ** 2 for s in config.sizes)
+    sizes, _, counts = config.runs
+    sum_target = sum(s * s * c for s, c in zip(sizes.tolist(), counts.tolist()))
     result = solve_convex(A, float(config.n_covered), sum_target, max_iter)
     if not result.converged:
         detail = (f"nonconvergence: no convergence in {result.iterations} "

@@ -32,8 +32,8 @@ def isolated_threshold(config: ModelConfig) -> float:
     """Degree cutoff between isolated and clustered nodes:
     min_k (n_k - 1)(p_k - q) / 2 + (n - 1) q.  Nodes with degree strictly
     below are declared isolated."""
-    sizes = config.sizes.astype(float)
-    gap = float(np.min((sizes - 1.0) * (config.probs - config.q)))
+    sizes, probs, _ = config.runs
+    gap = float(np.min((sizes - 1.0) * (probs - config.q)))
     return gap / 2.0 + (config.n - 1.0) * config.q
 
 
@@ -49,8 +49,8 @@ def pair_threshold(config: ModelConfig) -> float:
     """
     n = config.n
     q = config.q
-    sizes = config.sizes.astype(float)
-    intra_floor = float(np.min((sizes - 2.0) * config.probs**2 - sizes * q**2))
+    sizes, probs, _ = config.runs
+    intra_floor = float(np.min((sizes - 2.0) * probs**2 - sizes * q**2))
     cross = q * cross_pair_peak(config) if config.r >= 2 else 0.0
     return n * q**2 + (intra_floor + cross) / 2.0
 

@@ -53,13 +53,14 @@ _BATCH_ROWS = 4096
 def _log10_partition_count(config: ModelConfig) -> float:
     """log10 of the number of admissible partitions,
     n! / ((n - n_bar)! * prod_k n_k!) divided by prod over repeated sizes
-    (equal-size clusters are unordered), via lgamma, safe for
-    astronomically large n."""
+    (equal-size clusters are unordered), via lgamma over the runs, safe for
+    astronomically large n and cluster counts."""
     total = math.lgamma(config.n + 1) - math.lgamma(config.n0 + 1)
     mult: dict[int, int] = {}
-    for s in config.sizes.tolist():
-        total -= math.lgamma(s + 1)
-        mult[s] = mult.get(s, 0) + 1
+    sizes, _, counts = config.runs
+    for s, count in zip(sizes.tolist(), counts.tolist()):
+        total -= math.lgamma(s + 1) * count
+        mult[s] = mult.get(s, 0) + count
     for count in mult.values():
         total -= math.lgamma(count + 1)
     return total / math.log(10.0)

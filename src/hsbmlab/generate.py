@@ -175,7 +175,8 @@ def sample_observed(config: ModelConfig, partition: Partition, seed: int) -> Obs
 
 
 def expected_adjacency(config: ModelConfig, partition: Partition) -> np.ndarray:
-    """Mean of the collapsed (unobserved -> 0) matrix: gamma*p_k within
-    cluster k, gamma*q elsewhere, zero diagonal."""
-    upper, probs = _pair_probabilities(config, partition)
-    return _symmetrize_from_upper(upper, config.gamma * probs, dtype=float)
+    """Mean of the collapsed (unobserved -> 0) matrix, zero on the diagonal:
+    the pair probabilities of ``config.collapsed()``, gamma p_k within
+    cluster k and gamma q elsewhere."""
+    upper, probs = _pair_probabilities(config.collapsed(), partition)
+    return _symmetrize_from_upper(upper, probs, dtype=float)

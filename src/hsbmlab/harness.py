@@ -1,5 +1,9 @@
-"""Experiment harness: seeded Monte Carlo recovery runs and the
-classification trend table.
+"""Experiment harness: seeded Monte Carlo recovery runs, the
+concentration bench and the classification trend table.
+
+Every experiment measures the same thing: the seeded draw of a config
+(``draw_graph``), read under the gamma-collapsed model that a method
+solves (``collapse``).  Both live here and nowhere else.
 
 Determinism contract: every emitted artifact is a pure function of the
 experiment specification (config, algorithms, trials, base seed, options).
@@ -20,17 +24,21 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._openblas import thread_calls as openblas_thread_calls
 from .convex import MAX_ITER, check_max_iter, recover_convex
 from .counting import recover_counting
 from .exhaustive import (RESTARTS, check_exhaustive_size, check_restarts,
                          local_search, solve_exhaustive)
-from .generate import UNOBSERVED, ObservedMatrix, sample_adjacency, sample_observed
+from .generate import (UNOBSERVED, Adjacency, ObservedMatrix, expected_adjacency,
+                       sample_adjacency, sample_observed)
 from .graphio import table_text, write_text
 from .model import FAILURE_KINDS, ConfigError, ModelConfig, Recovery, partitions_equal
 from .presets import (EXAMPLE_IDS, check_example_id, example6_reference_constants,
                       example_config)
 from .regimes import DEFAULT_C, DEFAULT_ETA, _require_positive, classify
+from .spectral import block_split_bound
 
 ALGORITHMS = ("convex", "exhaustive", "counting", "local-search")
 # Standard normal quantile at 0.975: Wilson intervals are 95% intervals.
@@ -70,20 +78,13 @@ class ExperimentSpec:
             check_restarts(self.restarts)
 
 
-def recover(algorithm: str, graph, config: ModelConfig, max_iter: int = MAX_ITER,
-            seed: int = 0, restarts: int = RESTARTS) -> Recovery:
-    """Run one algorithm on an Adjacency or ObservedMatrix.
-
-    Partial observation: an ObservedMatrix becomes an Adjacency with
-    unobserved pairs mapped to 0, and the algorithm solves the
-    configuration's collapsed form (``ModelConfig.collapsed``, the config
-    itself at gamma = 1).  An ObservedMatrix with unobserved pairs under a
-    gamma = 1 configuration is refused, since that model would read them as
-    non-edges.  ``spectral.concentration_experiment`` collapses its draws
-    too; the two agree, as both call ``to_adjacency(unobserved_as=0)`` on
-    the same stream-0 edges.  max_iter applies to convex only, seed and
-    restarts to local search only.
-    """
+def collapse(graph, config: ModelConfig) -> tuple[Adjacency, ModelConfig]:
+    """A graph of a config as a method reads it: an Adjacency, with an
+    ObservedMatrix's unobserved pairs mapped to 0, and the config's
+    collapsed form (``ModelConfig.collapsed``, the config itself at
+    gamma = 1).  An ObservedMatrix with unobserved pairs under a gamma = 1
+    configuration is refused, since that model would read them as
+    non-edges."""
     if isinstance(graph, ObservedMatrix):
         unobserved = int((graph.values == UNOBSERVED).sum()) // 2
         if unobserved and config.gamma >= 1.0:
@@ -92,7 +93,16 @@ def recover(algorithm: str, graph, config: ModelConfig, max_iter: int = MAX_ITER
                 f"has gamma = {config.gamma:g}; give the observation rate "
                 f"gamma < 1 to recover from a partially observed graph")
         graph = graph.to_adjacency(unobserved_as=0)
-    config = config.collapsed()
+    return graph, config.collapsed()
+
+
+def recover(algorithm: str, graph, config: ModelConfig, max_iter: int = MAX_ITER,
+            seed: int = 0, restarts: int = RESTARTS) -> Recovery:
+    """Run one algorithm on an Adjacency or ObservedMatrix, which it solves
+    under the collapsed model (see ``collapse``).  max_iter applies to
+    convex only, seed and restarts to local search only.
+    """
+    graph, config = collapse(graph, config)
     if algorithm == "convex":
         # max_iter goes third, by position: the benchmark's wrapper of
         # recover_convex forwards its third argument positionally.
@@ -242,6 +252,56 @@ def run_monte_carlo(spec: ExperimentSpec, workers: int = 1) -> MonteCarloResult:
             "failure_counts": failure_counts,
         }
     return MonteCarloResult(rows=tuple(rows), summary=summary)
+
+
+# -- concentration bench --------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ConcentrationStats:
+    """Empirical ||A - E[A]|| / bound ratios over seeded trials."""
+
+    trials: int
+    bound: float
+    norms: np.ndarray
+    ratios: np.ndarray
+    min_ratio: float
+    mean_ratio: float
+    max_ratio: float
+
+    def rows(self) -> list[dict]:
+        """Per-trial records for CSV emission."""
+        return [
+            {"trial": i, "norm": float(self.norms[i]), "bound": self.bound,
+             "ratio": float(self.ratios[i])}
+            for i in range(self.trials)
+        ]
+
+
+def concentration_experiment(config: ModelConfig, trials: int,
+                             seed: int) -> ConcentrationStats:
+    """Sample centered adjacencies and report spectral-norm-to-bound ratios,
+    each norm the largest |eigenvalue| from one dense ``eigvalsh``.
+
+    Trial i is the graph that ``generate``, ``recover`` and ``montecarlo``
+    read for seed + i: ``collapse(draw_graph(config, planted, seed + i),
+    config)``.  Its expectation and ``spectral.block_split_bound`` are those
+    of the collapsed config, the model of that matrix.  The experiment is
+    reproducible and order-independent.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    planted = config.planted_partition()
+    expected = expected_adjacency(config, planted)
+    bound = block_split_bound(config.collapsed())
+    norms = np.empty(trials)
+    for i in range(trials):
+        adj, _ = collapse(draw_graph(config, planted, seed + i), config)
+        centered = adj.matrix.astype(float) - expected
+        norms[i] = np.abs(np.linalg.eigvalsh(centered)).max()
+    ratios = norms / bound
+    return ConcentrationStats(trials=trials, bound=bound, norms=norms, ratios=ratios,
+                              min_ratio=float(ratios.min()), mean_ratio=float(ratios.mean()),
+                              max_ratio=float(ratios.max()))
 
 
 # -- classification trend table -------------------------------------------

@@ -502,6 +502,21 @@ class TestMonteCarlo:
         summary = json.loads(capsys.readouterr().out)
         assert summary["convex"]["failure_counts"]["nonconvergence"] == 2
 
+    def test_exhaustive_guard_at_ten_to_the_twelve(self, tmp_path, capsys, monkeypatch):
+        # Example 5 at n = 10^12 has about 3.6e10 clusters; the size guard
+        # refuses it from the runs, without expanding them (270 GiB).
+        def refuse(config):
+            raise AssertionError("the guard expanded the clusters")
+        monkeypatch.setattr(model.ModelConfig, "sizes", property(refuse))
+        path = tmp_path / "huge_spec.json"
+        path.write_text(json.dumps({"example": {"id": 5, "n": 10**12},
+                                    "algorithms": ["exhaustive"]}))
+        assert main(["montecarlo", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: exhaustive enumeration is limited to n <= 14, got n = 1000000000000 ")
+        assert captured.out == ""
+
     def test_unknown_solver_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "typo_spec.json"
         path.write_text(json.dumps({
@@ -778,9 +793,22 @@ class TestTable1:
         assert lines[0] == ",".join(TABLE_COLUMNS)
         assert len(lines) == 5
 
-    def test_stdout_mode(self, capsys):
-        assert main(["table1", "--n-grid", "1e4", "--examples", "1"]) == 0
-        assert "'example': 1" in capsys.readouterr().out
+    @staticmethod
+    def stdout_and_file(argv, tmp_path, capsys) -> tuple[str, str]:
+        """What table1 prints without --out, and the text it writes with it."""
+        out = tmp_path / "table"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out, out.read_bytes().decode()
+
+    def test_stdout_mode(self, tmp_path, capsys):
+        # Without --out, table1 prints the bytes it would write to the file.
+        for fmt in ("csv", "json"):
+            printed, written = self.stdout_and_file(
+                ["table1", "--n-grid", "1e4", "--examples", "1", "--format", fmt],
+                tmp_path, capsys)
+            assert printed == written
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--n-grid", "1e4,abc", "could not convert string to float: 'abc'"),
@@ -798,10 +826,14 @@ class TestTable1:
         assert captured.err == f"error: {flag}: {reason}\n"
         assert captured.out == ""
 
-    def test_whole_number_forms_accepted(self, capsys):
-        assert main(["table1", "--n-grid", "1e4,10000,1.0e4", "--examples", "1"]) == 0
-        rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 3 and all("'n': 10000," in row for row in rows)
+    def test_whole_number_forms_accepted(self, tmp_path, capsys):
+        argv = ["table1", "--n-grid", "1e4,10000,1.0e4", "--examples", "1"]
+        printed, written = self.stdout_and_file(argv, tmp_path, capsys)
+        assert printed == written
+        assert [line.split(",")[1] for line in printed.splitlines()[1:]] == ["10000"] * 3
+        printed, written = self.stdout_and_file([*argv, "--format", "json"], tmp_path, capsys)
+        assert printed == written
+        assert [row["n"] for row in json.loads(printed)] == [10000] * 3
 
     @pytest.mark.parametrize("flags, reason", [
         (["--eta", "-1"], "eta must be positive, got -1.0"),

@@ -7,6 +7,7 @@ import json
 import math
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from hsbmlab import (
     ObservedMatrix,
     UNOBSERVED,
     classify,
+    concentration_experiment,
     example_config,
     example6_reference_constants,
+    expected_adjacency,
     objective,
     partitions_equal,
     read_graph,
@@ -339,6 +342,41 @@ class TestRecover:
         for adjacency in seen:
             assert isinstance(adjacency, Adjacency)
             assert np.array_equal(adjacency.matrix, expected)
+
+
+class TestConcentrationDraw:
+    """The concentration bench reads each trial as recover does: the
+    harness's draw of the config, collapsed."""
+
+    CLUSTERS = [(30, 0.5), (30, 0.5)]
+
+    @pytest.mark.parametrize("gamma, full, partial", [(1.0, 3, 0), (0.5, 0, 3)])
+    def test_bench_draws_through_draw_graph(self, gamma, full, partial):
+        cfg = ModelConfig(60, self.CLUSTERS, 0.05, gamma=gamma)
+        with mock.patch.object(harness, "sample_adjacency",
+                               wraps=harness.sample_adjacency) as adjacency, \
+                mock.patch.object(harness, "sample_observed",
+                                  wraps=harness.sample_observed) as observed:
+            concentration_experiment(cfg, trials=3, seed=2)
+        assert (adjacency.call_count, observed.call_count) == (full, partial)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_trial_is_the_collapsed_draw(self, gamma):
+        cfg = ModelConfig(60, self.CLUSTERS, 0.05, gamma=gamma)
+        planted = cfg.planted_partition()
+        stats = concentration_experiment(cfg, trials=2, seed=9)
+        for i in range(2):
+            adj, model = harness.collapse(harness.draw_graph(cfg, planted, 9 + i), cfg)
+            assert model == cfg.collapsed()
+            centered = adj.matrix.astype(float) - expected_adjacency(model, planted)
+            assert stats.norms[i] == np.abs(np.linalg.eigvalsh(centered)).max()
+
+    def test_collapse_maps_unobserved_to_zero(self):
+        cfg = ModelConfig(60, self.CLUSTERS, 0.05, gamma=0.5)
+        observed = sample_observed(cfg, cfg.planted_partition(), 4)
+        adj, model = harness.collapse(observed, cfg)
+        assert np.array_equal(adj.matrix, observed.to_adjacency(unobserved_as=0).matrix)
+        assert model == cfg.collapsed() and model.gamma == 1.0
 
 
 class TestWilsonInterval:

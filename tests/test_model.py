@@ -13,16 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsbmlab import (
+    Adjacency,
     ConfigError,
     ModelConfig,
     Partition,
+    block_split_bound,
     chi_square_div,
     clustering_matrix,
+    convex,
     derived_stats,
     example6_reference_constants,
     example_config,
+    isolated_threshold,
+    pair_threshold,
     partitions_equal,
+    recover_convex,
 )
+from hsbmlab.exhaustive import check_exhaustive_size
 from hsbmlab.model import clique_components, cross_pair_peak
 
 REL = 1e-12
@@ -277,6 +284,55 @@ class TestRuns:
         assert "<1000000000001 clusters, sizes 2..1000>" in repr(cfg)
         st = derived_stats(cfg)
         assert st.n_min == 2
+
+
+class TestReductionsReadRuns:
+    """Every reduction over clusters reads ``config.runs``: with the
+    per-cluster views made to raise, each still gives the value of its
+    per-cluster formula, at any cluster count."""
+
+    @pytest.fixture
+    def no_expansion(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a reduction expanded the clusters")
+        monkeypatch.setattr(ModelConfig, "sizes", property(refuse))
+        monkeypatch.setattr(ModelConfig, "probs", property(refuse))
+
+    def test_exhaustive_guard_at_ten_to_the_twelve(self, request):
+        # Example 5 at n = 10^12 has about 3.6e10 clusters: 270 GiB one by one.
+        cfg = example_config(5, 10**12)
+        request.getfixturevalue("no_expansion")
+        with pytest.raises(ConfigError, match="limited to n <= 14, got n = 1000000000000"):
+            check_exhaustive_size(cfg)
+
+    @pytest.mark.parametrize("example", [3, 5])
+    def test_thresholds_and_bound_match_per_cluster(self, request, example):
+        cfg = example_config(example, 10**4)
+        sizes, probs, q = cfg.sizes.astype(float), cfg.probs, cfg.q
+        iso = float(np.min((sizes - 1.0) * (probs - q))) / 2.0 + (cfg.n - 1.0) * q
+        pair = cfg.n * q**2 + (float(np.min((sizes - 2.0) * probs**2 - sizes * q**2))
+                               + q * cross_pair_peak(cfg)) / 2.0
+        bound = (float(np.sqrt(probs * (1.0 - probs) * sizes).max())
+                 + math.sqrt(max(q * (1.0 - q) * cfg.n, math.log(cfg.n))))
+        request.getfixturevalue("no_expansion")
+        assert isolated_threshold(cfg) == iso
+        assert pair_threshold(cfg) == pair
+        assert block_split_bound(cfg) == bound
+
+    def test_convex_sum_target(self, request, monkeypatch):
+        cfg = ModelConfig(12, [(3, 0.9), (2, 0.8), (3, 0.9), (3, 0.9)], 0.05)
+        want = sum(int(s) ** 2 for s in cfg.sizes)
+        seen = []
+
+        def stop(A, radius, sum_target, max_iter):
+            seen.append(sum_target)
+            raise StopIteration
+
+        monkeypatch.setattr(convex, "solve_convex", stop)
+        request.getfixturevalue("no_expansion")
+        with pytest.raises(StopIteration):
+            recover_convex(Adjacency(np.zeros((12, 12), dtype=np.int8)), cfg)
+        assert seen == [want] == [31]
 
 
 class TestPartition:
